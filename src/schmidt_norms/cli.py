@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cones import k_block_positivity, sn_upper_verify, witness_check
-from .linalg import BipartiteOperator, Frame, PureState, trace_norm
+from .linalg import Frame, trace_norm
 from .maps import (
     detection_map,
     hermitian_trace_norm,
@@ -34,9 +34,11 @@ from .maps import (
 from .matio import (
     FormatError,
     dump_bipartite,
+    dump_state,
     load_bipartite,
     load_ensemble,
     load_map,
+    load_state,
     read_json,
     write_json,
 )
@@ -94,24 +96,12 @@ def _seed(args) -> int:
 
 def _seesaw_cfg(args) -> SeeSawConfig:
     return SeeSawConfig(restarts=args.restarts, max_iters=args.max_iters,
-                        obj_tol=args.tol, rng=RandomConfig(seed=_seed(args)),
-                        threads=args.threads)
+                        obj_tol=args.tol, rng=RandomConfig(seed=_seed(args)))
 
 
 def _oracle_cfg(args) -> OracleConfig:
     return OracleConfig(samples=args.samples, polish_steps=args.polish_steps,
                         rng=RandomConfig(seed=_seed(args)))
-
-
-def _dump_vector(state: PureState) -> dict:
-    return {"m": int(state.dims[0]), "n": int(state.dims[1]),
-            "re": state.amplitudes.real.tolist(),
-            "im": state.amplitudes.imag.tolist()}
-
-
-def _load_vector(obj: dict) -> PureState:
-    amp = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    return PureState((int(obj["m"]), int(obj["n"])), amp)
 
 
 def _dump_frame(frame: Frame | None) -> dict | None:
@@ -122,15 +112,17 @@ def _dump_frame(frame: Frame | None) -> dict | None:
             "im": frame.vectors.imag.tolist()}
 
 
-def _dump_estimate(est) -> dict:
+def _dump_estimate(est, **extra) -> dict:
+    """Estimate fields plus ``extra``; only a NormEstimate has a witness."""
     out = {"value": est.value, "direction": est.direction,
            "converged": bool(est.converged),
            "restarts_used": int(est.restarts_used),
-           "iterations": int(est.iterations)}
-    if est.witness is not None:
+           "iterations": int(est.iterations), **extra}
+    witness = getattr(est, "witness", None)
+    if witness is not None:
         out["witness"] = {
-            "vectors": [_dump_vector(v) for v in est.witness.vectors],
-            "frame": _dump_frame(est.witness.frame),
+            "vectors": [dump_state(v) for v in witness.vectors],
+            "frame": _dump_frame(witness.frame),
         }
     return out
 
@@ -139,8 +131,15 @@ def _dump_verdict(verdict) -> dict:
     out = {"status": verdict.status, "min_value": verdict.min_value,
            "k": int(verdict.k)}
     if verdict.witness_vector is not None:
-        out["witness_vector"] = _dump_vector(verdict.witness_vector)
+        out["witness_vector"] = dump_state(verdict.witness_vector)
     return out
+
+
+def _dump_certificate(cert, **extra) -> dict:
+    return {"pairing": cert.pairing, "k": int(cert.k),
+            "valid": bool(cert.valid),
+            "block_pos_evidence": _dump_verdict(cert.block_pos_evidence),
+            **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +149,7 @@ def _dump_verdict(verdict) -> dict:
 
 def _seesaw_params(args) -> dict:
     return {"k": args.k, "seed": _seed(args), "restarts": args.restarts,
-            "max_iters": args.max_iters, "tol": args.tol,
-            "threads": args.threads}
+            "max_iters": args.max_iters, "tol": args.tol}
 
 
 def _handle_norm(args):
@@ -159,18 +157,12 @@ def _handle_norm(args):
     op = load_bipartite(read_json(args.file))
     cfg = _seesaw_cfg(args)
     params = _seesaw_params(args)
-    if args.variant == "sk":
-        est = sk_norm(op, args.k, cfg)
-        return inputs, params, _dump_estimate(est), 0
-    if args.variant == "omin":
-        est = omin_norm(op, args.k, cfg)
-        return inputs, params, _dump_estimate(est), 0
-    if args.variant == "minorder":
-        est = min_order_norm(op, args.k, cfg)
-        return inputs, params, _dump_estimate(est), 0
-    lower, upper = maxk_space_norm_bounds(op, args.k, cfg)
-    result = {"lower": _dump_estimate(lower), "upper": _dump_estimate(upper)}
-    return inputs, params, result, 0
+    if args.variant == "maxspace":
+        lower, upper = maxk_space_norm_bounds(op, args.k, cfg)
+        result = {"lower": _dump_estimate(lower), "upper": _dump_estimate(upper)}
+        return inputs, params, result, 0
+    fn = {"sk": sk_norm, "omin": omin_norm, "minorder": min_order_norm}[args.variant]
+    return inputs, params, _dump_estimate(fn(op, args.k, cfg)), 0
 
 
 def _handle_cone_blockpos(args):
@@ -186,10 +178,8 @@ def _handle_cone_witness(args):
     w = load_bipartite(read_json(args.witness))
     rho = load_bipartite(read_json(args.state))
     cert = witness_check(w, rho, args.k, _seesaw_cfg(args))
-    result = {"pairing": cert.pairing, "k": int(cert.k),
-              "valid": bool(cert.valid),
-              "sn_lower_bound": cert.k + 1 if cert.valid else None,
-              "block_pos_evidence": _dump_verdict(cert.block_pos_evidence)}
+    result = _dump_certificate(
+        cert, sn_lower_bound=cert.k + 1 if cert.valid else None)
     return inputs, _seesaw_params(args), result, 2 if cert.valid else 0
 
 
@@ -229,24 +219,12 @@ def _handle_map(args):
             ok = k_peb_certify(phi, ens)
             return inputs, params, {"certified": bool(ok), "k": int(ens.k)}, 0
         cert = k_peb_refute(phi, args.k, cfg)
-        result = {"pairing": cert.pairing, "k": int(cert.k),
-                  "valid": bool(cert.valid),
-                  "witness_operator": dump_bipartite(cert.W),
-                  "block_pos_evidence": _dump_verdict(cert.block_pos_evidence)}
+        result = _dump_certificate(cert, witness_operator=dump_bipartite(cert.W))
         return inputs, params, result, 2 if cert.valid else 0
     if args.variant == "idk-norm":
-        est = idk_op_norm(phi, args.k, cfg)
-        result = {"value": est.value, "direction": est.direction,
-                  "converged": bool(est.converged),
-                  "restarts_used": int(est.restarts_used),
-                  "iterations": int(est.iterations)}
-        return inputs, params, result, 0
+        return inputs, params, _dump_estimate(idk_op_norm(phi, args.k, cfg)), 0
     est = hermitian_trace_norm(phi, args.k, cfg)
-    result = {"value": est.value, "direction": est.direction,
-              "converged": bool(est.converged),
-              "restarts_used": int(est.restarts_used),
-              "iterations": int(est.iterations),
-              "attaining_input": _dump_vector(est.attaining_input)}
+    result = _dump_estimate(est, attaining_input=dump_state(est.attaining_input))
     return inputs, params, result, 0
 
 
@@ -271,7 +249,7 @@ def _recheck_blockpos(report: dict, args):
     obj = read_json(args.file)
     mat = load_map(obj).choi.mat if report["command"] == "map kpos" \
         else load_bipartite(obj).mat
-    wit = _load_vector(report["result"]["witness_vector"])
+    wit = load_state(report["result"]["witness_vector"])
     value = float(np.real(wit.amplitudes.conj() @ mat @ wit.amplitudes))
     return value, report["result"]["min_value"], {"file": _digest(args.file)}
 
@@ -358,7 +336,6 @@ def _add_seesaw_opts(p: argparse.ArgumentParser):
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=200)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _add_oracle_opts(p: argparse.ArgumentParser):

@@ -18,19 +18,20 @@ import numpy as np
 
 from .linalg import (
     EVAL_TOL,
-    HERM_TOL,
-    RANK_TOL,
     RECON_TOL,
     REFUTE_TOL,
     UNIT_TOL,
     BipartiteOperator,
     Frame,
     PureState,
+    _check_k,
     is_hermitian,
     min_eig_hermitian,
     schmidt_rank,
 )
-from .optim import SeeSawConfig, compress_tensor, frame_ascent, lift_from_frame, run_restarts
+# compress_tensor is unused here; perfbench's tracer test patches it here.
+from .optim import SeeSawConfig, compress_tensor, frame_ascent, iterations, \
+    lift_from_frame, run_restarts
 from .rand import random_sr_k_vector
 
 __all__ = [
@@ -84,7 +85,7 @@ class SchmidtEnsemble:
         dims = self.terms[0][1].dims
         total = 0.0
         for w, state in self.terms:
-            if w <= 0:
+            if not w > 0:  # also rejects NaN
                 raise ValueError("ensemble weights must be positive")
             if state.dims != dims:
                 raise ValueError("ensemble states must share dims")
@@ -142,9 +143,8 @@ def k_block_positivity(X: BipartiteOperator, k: int,
     cfg = cfg or SeeSawConfig()
     if not is_hermitian(X.mat):
         raise ValueError("k-block positivity needs a Hermitian operator")
+    _check_k(X, k)
     m, n = X.dims
-    if not 1 <= k <= min(m, n):
-        raise ValueError("k=%d out of range for dims %r" % (k, (X.dims,)))
 
     if k == min(m, n):
         _, vecs = np.linalg.eigh(X.mat)
@@ -166,11 +166,11 @@ def k_block_positivity(X: BipartiteOperator, k: int,
     wit = PureState((m, n), lift_from_frame(u, v, m))
     val = float(np.real(wit.amplitudes.conj() @ X.mat @ wit.amplitudes))
     status = "refuted" if val < -REFUTE_TOL else "heuristically-positive"
-    iters = int(sum(max(len(o.history) - 1, 0) for o in outcomes))
     return BlockPositivityVerdict(status=status, min_value=val,
                                   witness_vector=wit, k=k,
                                   frame=Frame(vectors=v.T.copy()),
-                                  restarts_used=cfg.restarts, iterations=iters)
+                                  restarts_used=cfg.restarts,
+                                  iterations=iterations(outcomes))
 
 
 def sn_upper_verify(rho: BipartiteOperator, ens: SchmidtEnsemble) -> bool:

@@ -206,6 +206,11 @@ def is_hermitian(x, tol: float = HERM_TOL) -> bool:
         np.max(np.abs(x - x.conj().T)) <= tol
 
 
+def _check_k(X: BipartiteOperator, k: int) -> None:
+    if not 1 <= k <= min(X.dims):
+        raise ValueError("k=%d out of range for dims %r" % (k, X.dims))
+
+
 def operator_norm(x) -> float:
     """Largest singular value."""
     x = _as_complex(x)

@@ -29,12 +29,12 @@ from .linalg import (
     UNIT_TOL,
     BipartiteOperator,
     PureState,
+    _check_k,
     is_hermitian,
     min_eig_hermitian,
-    operator_norm,
     trace_norm,
 )
-from .optim import RestartOutcome, SeeSawConfig, run_restarts
+from .optim import RestartOutcome, SeeSawConfig, iterations, run_restarts
 from .rand import random_unit_vector
 
 __all__ = [
@@ -202,14 +202,10 @@ def k_peb_refute(phi: MapRepr, k: int,
     """Attempt to refute k-PEB: pair the normalized Choi state against the
     reduction-type witness on C^r (x) C^n.  A valid certificate refutes."""
     rho = _choi_state(phi)
+    _check_k(rho, k)
     r, n = rho.dims
     d = min(r, n)
-    if not 1 <= k <= d:
-        raise ValueError("k=%d out of range for Choi dims %r" % (k, (rho.dims,)))
-    phi_vec = np.zeros((r, n), dtype=complex)
-    for t in range(d):
-        phi_vec[t, t] = 1.0 / np.sqrt(d)
-    phi_vec = phi_vec.reshape(-1)
+    phi_vec = np.eye(r, n, dtype=complex).reshape(-1) / np.sqrt(d)
     w = np.eye(r * n, dtype=complex) - (d / k) * np.outer(phi_vec, phi_vec.conj())
     return witness_check(BipartiteOperator((r, n), w), rho, k, cfg)
 
@@ -237,10 +233,10 @@ class MapNormEstimate:
             raise ValueError("direction must be lower/exact-flagged")
 
 
-def _polar_trace_step(y: np.ndarray):
-    u, s, vh = np.linalg.svd(y)
-    x = vh.conj().T @ u.conj().T
-    return float(np.sum(s)), x
+def _polar_trace_step(y: np.ndarray) -> np.ndarray:
+    """Polar factor of Y^dagger: the X, ||X|| <= 1, maximizing Re Tr(X Y)."""
+    u, _, vh = np.linalg.svd(y)
+    return vh.conj().T @ u.conj().T
 
 
 def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNormEstimate:
@@ -260,7 +256,7 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
         if restart == 0:
             x = np.eye(k * r, dtype=complex)
         else:
-            _, x = _polar_trace_step(idk_pairing_matrix(
+            x = _polar_trace_step(idk_pairing_matrix(
                 phi, random_unit_vector(k * n, rng),
                 random_unit_vector(k * n, rng), k))
         z = idk_apply(phi, x, k)
@@ -271,7 +267,7 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
         converged = False
         for _ in range(cfg.max_iters):
             prev = val
-            tr_val, x = _polar_trace_step(idk_pairing_matrix(phi, v, w, k))
+            x = _polar_trace_step(idk_pairing_matrix(phi, v, w, k))
             z = idk_apply(phi, x, k)
             u, s, vh = np.linalg.svd(z)
             val = float(s[0])
@@ -285,10 +281,10 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
 
     best, outcomes = run_restarts(worker, cfg)
     direction = "exact-flagged" if phi.is_cp() else "lower"
-    iters = int(sum(max(len(o.history) - 1, 0) for o in outcomes))
     return MapNormEstimate(value=best.value, direction=direction,
                            attaining_input=best.payload,
-                           restarts_used=cfg.restarts, iterations=iters,
+                           restarts_used=cfg.restarts,
+                           iterations=iterations(outcomes),
                            converged=best.converged,
                            history=[o.history for o in outcomes])
 
@@ -314,11 +310,11 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
     n = phi.out_dim
     d = k * r
 
-    def value_at(u: np.ndarray) -> float:
-        return trace_norm(idk_apply(phi, np.outer(u, u.conj()), k))
-
-    def gradient(u: np.ndarray) -> np.ndarray:
+    def value_at(u: np.ndarray):
         a = idk_apply(phi, np.outer(u, u.conj()), k)
+        return trace_norm(a), a
+
+    def gradient(u: np.ndarray, a: np.ndarray) -> np.ndarray:
         s4 = _sign_matrix((a + a.conj().T) / 2.0).reshape(k, n, k, n)
         kmat = np.einsum("qbpa,iajb->piqj", s4, j4).reshape(d, d)
         return kmat.T @ u
@@ -331,12 +327,12 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
             u = u.reshape(-1) / np.sqrt(min(k, r))
         else:
             u = random_unit_vector(d, rng)
-        val = value_at(u)
+        val, a = value_at(u)
         history = [val]
         eta = 0.5
         converged = False
         for _ in range(cfg.max_iters):
-            g = gradient(u)
+            g = gradient(u, a)
             g = g - u * (u.conj() @ g)
             gn = np.linalg.norm(g)
             if gn < 1e-14:
@@ -348,7 +344,7 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
             for _ in range(6):
                 cand = u + step * g
                 cand = cand / np.linalg.norm(cand)
-                cand_val = value_at(cand)
+                cand_val, cand_a = value_at(cand)
                 if cand_val > val:
                     accepted = True
                     break
@@ -357,7 +353,7 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
                 converged = True
                 break
             gain = cand_val - val
-            u, val = cand, cand_val
+            u, a, val = cand, cand_a, cand_val
             history.append(val)
             eta = min(step * 1.5, 1.0)
             if gain < cfg.obj_tol:
@@ -367,10 +363,10 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
                               converged=converged)
 
     best, outcomes = run_restarts(worker, cfg)
-    iters = int(sum(max(len(o.history) - 1, 0) for o in outcomes))
     return MapNormEstimate(value=best.value, direction="lower",
                            attaining_input=PureState((k, r), best.payload),
-                           restarts_used=cfg.restarts, iterations=iters,
+                           restarts_used=cfg.restarts,
+                           iterations=iterations(outcomes),
                            converged=best.converged,
                            history=[o.history for o in outcomes])
 

@@ -5,7 +5,7 @@ Matrix object: {"rows": R, "cols": C, "re": [[...]], "im": [[...]]},
 row-major; "im" may be omitted for real matrices.  Bipartite operators add
 "m" and "n"; map files are the Choi matrix object plus "in_dim"/"out_dim".
 Ensembles: {"m": m, "n": n, "k": k, "terms": [{"weight": w, "re": [...],
-"im": [...]}]} with flat amplitude lists.
+"im": [...]}]} with flat amplitude lists; states are {"m", "n", "re", "im"}.
 
 Loaders raise :class:`FormatError` naming the offending field.
 """
@@ -25,6 +25,7 @@ __all__ = [
     "load_bipartite",
     "load_map",
     "load_ensemble",
+    "load_state",
     "dump_matrix",
     "dump_bipartite",
     "dump_map",
@@ -36,7 +37,7 @@ __all__ = [
 
 
 class FormatError(ValueError):
-    """Malformed input object; the message names the offending field."""
+    """Malformed or non-finite input; the message names the offending field."""
 
 
 def _need(obj: dict, field: str, kind=None):
@@ -48,6 +49,16 @@ def _need(obj: dict, field: str, kind=None):
     return val
 
 
+def _numbers(raw: list, field: str) -> np.ndarray:
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise FormatError("field %r must contain numbers" % field)
+    if not np.all(np.isfinite(arr)):
+        raise FormatError("field %r must contain finite numbers" % field)
+    return arr
+
+
 def _grid(obj: dict, field: str, rows: int, cols: int) -> np.ndarray:
     raw = _need(obj, field)
     if not isinstance(raw, list) or len(raw) != rows:
@@ -55,10 +66,7 @@ def _grid(obj: dict, field: str, rows: int, cols: int) -> np.ndarray:
     for row in raw:
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError("field %r rows must have %d entries" % (field, cols))
-    try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise FormatError("field %r must contain numbers" % field)
+    return _numbers(raw, field)
 
 
 def load_matrix(obj: dict) -> np.ndarray:
@@ -107,10 +115,26 @@ def _vector(obj: dict, field: str, length: int) -> np.ndarray:
     raw = _need(obj, field)
     if not isinstance(raw, list) or len(raw) != length:
         raise FormatError("field %r must be a list of %d numbers" % (field, length))
+    return _numbers(raw, field)
+
+
+def _state(obj: dict, m: int, n: int) -> PureState:
+    re = _vector(obj, "re", m * n)
+    im = _vector(obj, "im", m * n) if "im" in obj else np.zeros(m * n)
     try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise FormatError("field %r must contain numbers" % field)
+        return PureState((m, n), re + 1j * im)
+    except ValueError as exc:
+        raise FormatError("field 're'/'im': %s" % exc)
+
+
+def load_state(obj: dict) -> PureState:
+    if not isinstance(obj, dict):
+        raise FormatError("state object must be a JSON object")
+    m = _need(obj, "m", int)
+    n = _need(obj, "n", int)
+    if m < 1 or n < 1:
+        raise FormatError("field 'm'/'n' must be positive")
+    return _state(obj, m, n)
 
 
 def load_ensemble(obj: dict) -> SchmidtEnsemble:
@@ -125,16 +149,12 @@ def load_ensemble(obj: dict) -> SchmidtEnsemble:
         if not isinstance(term, dict):
             raise FormatError("field 'terms[%d]' must be an object" % idx)
         w = term.get("weight")
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
+        if not isinstance(w, (int, float)) or isinstance(w, bool) \
+                or not np.isfinite(w):
             raise FormatError("field 'terms[%d].weight' must be a number" % idx)
         try:
-            re = _vector(term, "re", m * n)
-            im = _vector(term, "im", m * n) if "im" in term else np.zeros(m * n)
+            state = _state(term, m, n)
         except FormatError as exc:
-            raise FormatError("field 'terms[%d]': %s" % (idx, exc))
-        try:
-            state = PureState((m, n), re + 1j * im)
-        except ValueError as exc:
             raise FormatError("field 'terms[%d]': %s" % (idx, exc))
         built.append((float(w), state))
     try:

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    EVAL_TOL,
     HERM_TOL,
     RECON_TOL,
     BipartiteOperator,
     Frame,
     PureState,
+    _check_k,
     _numerical_radius_attain,
     _truncate_vec,
     is_hermitian,
@@ -42,6 +42,7 @@ from .optim import (
     SeeSawConfig,
     compress_tensor,
     frame_ascent,
+    iterations,
     lift_from_frame,
     run_restarts,
 )
@@ -90,15 +91,6 @@ class NormEstimate:
     def __post_init__(self):
         if self.direction not in ("lower", "upper", "exact"):
             raise ValueError("direction must be lower/upper/exact")
-
-
-def _check_k(X: BipartiteOperator, k: int) -> None:
-    if not 1 <= k <= min(X.dims):
-        raise ValueError("k=%d out of range for dims %r" % (k, (X.dims,)))
-
-
-def _iterations(outcomes) -> int:
-    return int(sum(max(len(o.history) - 1, 0) for o in outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +158,7 @@ def sk_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> No
     wit = Witness(vectors=(PureState((m, n), v), PureState((m, n), w)))
     return NormEstimate(value=best.value, direction="lower", witness=wit,
                         restarts_used=cfg.restarts,
-                        iterations=_iterations(outcomes),
+                        iterations=iterations(outcomes),
                         converged=best.converged,
                         history=[o.history for o in outcomes])
 
@@ -190,12 +182,9 @@ def _opnorm_objective(c: np.ndarray):
     return float(s[0]), [(1.0 + 0.0j, u[:, 0], vh[0, :].conj())]
 
 
-def _numrad_objective(grid: int, theta_tol: float):
-    def objective(c: np.ndarray):
-        val, theta, vec = _numerical_radius_attain(c, grid, theta_tol)
-        return val, [(np.exp(1j * theta), vec, vec)]
-
-    return objective
+def _numrad_objective(c: np.ndarray):
+    val, theta, vec = _numerical_radius_attain(c, 32, 1e-8)
+    return val, [(np.exp(1j * theta), vec, vec)]
 
 
 def _frame_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig, objective,
@@ -219,15 +208,14 @@ def _frame_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig, objective,
         return frame_ascent(t4, k, rng, objective, cfg, maximize=True)
 
     best, outcomes = run_restarts(worker, cfg)
-    v = best.payload[0]
+    v, terms = best.payload
     c = compress_tensor(t4, v)
-    val, terms = objective(c)
     val, wit = _frame_witness(X, v, c, terms, single_vector)
     if val < best.value:
         val = best.value
     return NormEstimate(value=val, direction="lower", witness=wit,
                         restarts_used=cfg.restarts,
-                        iterations=_iterations(outcomes),
+                        iterations=iterations(outcomes),
                         converged=best.converged,
                         history=[o.history for o in outcomes])
 
@@ -255,14 +243,14 @@ def omin_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> 
     return _frame_norm(X, k, cfg, _opnorm_objective, single_vector=False)
 
 
-def min_order_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None,
-                   inner_grid: int = 32, inner_theta_tol: float = 1e-8) -> NormEstimate:
+def min_order_norm(X: BipartiteOperator, k: int,
+                   cfg: SeeSawConfig | None = None) -> NormEstimate:
     """Largest |<v|X|v>| over unit vectors of Schmidt rank <= k: sup over
-    orthonormal frames of the numerical radius of the compression."""
+    orthonormal frames of the numerical radius of the compression (32-point
+    angle grid, golden-section refinement to 1e-8)."""
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
-    objective = _numrad_objective(inner_grid, inner_theta_tol)
-    return _frame_norm(X, k, cfg, objective, single_vector=True)
+    return _frame_norm(X, k, cfg, _numrad_objective, single_vector=True)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +303,9 @@ def max_order_norm_upper(X: BipartiteOperator, k: int,
 
 
 def block_positive_decomposition(X: BipartiteOperator, k: int,
-                                 cfg: SeeSawConfig | None = None,
-                                 margin: float = 1e-8):
+                                 cfg: SeeSawConfig | None = None):
     """Canonical decomposition of X into k-block-positive parts by shifting
-    each Hermitian part with (order norm + margin) times the identity.
+    each Hermitian part with (order norm + 1e-8) times the identity.
     Returns [(lambda_i, P_i)] with sum lambda_i P_i = X exactly."""
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
@@ -331,7 +318,7 @@ def block_positive_decomposition(X: BipartiteOperator, k: int,
     parts = []
     for lam, h in terms:
         value, _, _ = _hermitian_radius(BipartiteOperator(X.dims, h), k, cfg)
-        t = value + margin
+        t = value + 1e-8
         parts.append((lam, BipartiteOperator(X.dims, t * eye + h)))
         parts.append((-lam, BipartiteOperator(X.dims, t * eye - h)))
     return parts
@@ -427,7 +414,7 @@ def maxk_space_norm_bounds(X: BipartiteOperator, k: int,
     count = cfg.restarts if samples is None else samples
     sub_cfg = SeeSawConfig(restarts=max(4, cfg.restarts // 2),
                            max_iters=cfg.max_iters, obj_tol=cfg.obj_tol,
-                           rng=cfg.rng.stream(10_000), threads=cfg.threads)
+                           rng=cfg.rng.stream(10_000))
     candidates = [base]
     history = [[base]]
     for s in range(count):

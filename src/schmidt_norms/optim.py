@@ -13,15 +13,14 @@ to the smaller restart index.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rand import RandomConfig, random_isometry
+from .rand import RandomConfig, _qr_phase_fixed, random_isometry
 
-__all__ = ["SeeSawConfig", "RestartOutcome", "run_restarts", "frame_ascent",
-           "compress_tensor", "lift_from_frame"]
+__all__ = ["SeeSawConfig", "RestartOutcome", "run_restarts", "iterations",
+           "frame_ascent", "compress_tensor", "lift_from_frame"]
 
 _MAX_HALVINGS = 5
 
@@ -34,7 +33,6 @@ class SeeSawConfig:
     max_iters: int = 200
     obj_tol: float = 1e-9
     rng: RandomConfig = field(default_factory=RandomConfig)
-    threads: int = 1
 
 
 @dataclass
@@ -49,24 +47,20 @@ class RestartOutcome:
 
 
 def run_restarts(worker, cfg: SeeSawConfig, minimize: bool = False):
-    """Run ``worker(restart_index, rng)`` for each restart and keep the best
-    outcome (strict improvement only, so ties resolve to the first index).
-
-    Returns (best, outcomes).  ``cfg.threads > 1`` fans restarts out to a
-    thread pool; the reduction is order-independent.
-    """
-    indices = range(cfg.restarts)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(
-                lambda r: worker(r, cfg.rng.stream(r).generator()), indices))
-    else:
-        outcomes = [worker(r, cfg.rng.stream(r).generator()) for r in indices]
+    """Run ``worker(restart_index, rng)`` for each restart in order and
+    return (best, outcomes); ties resolve to the first index."""
+    outcomes = [worker(r, cfg.rng.stream(r).generator())
+                for r in range(cfg.restarts)]
     best = outcomes[0]
     for out in outcomes[1:]:
         if (out.value < best.value) if minimize else (out.value > best.value):
             best = out
     return best, outcomes
+
+
+def iterations(outcomes) -> int:
+    """Accepted improvement steps summed over the restarts' histories."""
+    return int(sum(max(len(o.history) - 1, 0) for o in outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +113,8 @@ def _frame_gradient(t4: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
     return g
 
 
-def _reorthonormalize(v: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(v)
-    d = np.diagonal(r).copy()
-    d = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
-    return q * d.conj()
-
-
 def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
-                 objective, cfg: SeeSawConfig, maximize: bool = True,
-                 start: np.ndarray | None = None):
+                 objective, cfg: SeeSawConfig, maximize: bool = True):
     """Optimize objective(compress_tensor(t4, V)) over orthonormal frames V.
 
     ``objective(C) -> (value, terms)`` must solve the inner problem exactly
@@ -136,7 +122,7 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
     RestartOutcome whose payload is (V, value-attaining terms).
     """
     n = t4.shape[1]
-    v = random_isometry(n, k, rng) if start is None else start
+    v = random_isometry(n, k, rng)
     sign = 1.0 if maximize else -1.0
 
     c = compress_tensor(t4, v)
@@ -157,7 +143,7 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
         step = eta
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
-            v_new = _reorthonormalize(v + step * g)
+            v_new = _qr_phase_fixed(v + step * g)
             c_new = compress_tensor(t4, v_new)
             val_new, terms_new = objective(c_new)
             if (val_new > val) if maximize else (val_new < val):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -154,12 +155,75 @@ def test_bad_flag_exit_1(capsys):
 
 
 def test_console_script_wiring(workdir):
+    # the child finds the package from the checkout, installed or not
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-m", "schmidt_norms.cli", "norm", "sk",
          str(workdir / "id2.json"), "--k", "1", "--seed", "0",
          "--restarts", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["value"] == pytest.approx(1.0, abs=1e-8)
     assert proc.stderr.strip()
+
+
+def test_minorder_nan_input_exit_1(workdir, capsys):
+    obj = dump_bipartite(fixtures.example51(3))
+    obj["re"][0][0] = float("nan")
+    write_json(str(workdir / "nan.json"), obj)
+    code, report, err = _run(capsys, [
+        "norm", "minorder", str(workdir / "nan.json"), "--k", "1"])
+    assert code == 1
+    assert report is None
+    assert "'re'" in err
+
+
+def _result_keys(capsys, argv):
+    code, report, _ = _run(capsys, argv + ["--seed", "4", "--restarts", "2"])
+    return code, set(report["result"])
+
+
+def test_map_and_certificate_result_keys(workdir, capsys):
+    from schmidt_norms.cones import reduction_witness
+    from schmidt_norms.maps import depolarizing_map, transpose_map
+    write_json(str(workdir / "w32.json"), dump_bipartite(reduction_witness(3, 2)))
+    write_json(str(workdir / "tmap.json"), dump_map(transpose_map(3)))
+    write_json(str(workdir / "omega.json"), dump_map(depolarizing_map(3)))
+    estimate = {"value", "direction", "converged", "restarts_used", "iterations"}
+    certificate = {"pairing", "k", "valid", "block_pos_evidence"}
+    assert _result_keys(capsys, [
+        "map", "idk-norm", str(workdir / "tmap.json"), "--k", "2"]) == (0, estimate)
+    assert _result_keys(capsys, [
+        "map", "trnorm-h", str(workdir / "red3.json"), "--k", "1"]) \
+        == (0, estimate | {"attaining_input"})
+    assert _result_keys(capsys, [
+        "cone", "witness", "--witness", str(workdir / "w32.json"),
+        "--state", str(workdir / "iso9.json"), "--k", "2"]) \
+        == (2, certificate | {"sn_lower_bound"})
+    assert _result_keys(capsys, [
+        "map", "kpeb", str(workdir / "omega.json"), "--k", "1"]) \
+        == (0, certificate | {"witness_operator"})
+
+
+@pytest.mark.parametrize("corrupt", ["length", "nan"])
+def test_recheck_rejects_malformed_witness_vector(workdir, capsys, corrupt):
+    code, report, _ = _run(capsys, [
+        "cone", "blockpos", str(workdir / "swap3.json"), "--k", "2",
+        "--seed", "3", "--restarts", "2"])
+    assert code == 2
+    wit = report["result"]["witness_vector"]
+    if corrupt == "length":
+        wit["re"] = wit["re"][:-1]
+    else:
+        wit["im"][0] = float("nan")
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    code, recheck, err = _run(capsys, [
+        "oracle", "recheck", "--report", str(rp),
+        "--file", str(workdir / "swap3.json")])
+    assert code == 1
+    assert recheck is None
+    assert ("'re'" if corrupt == "length" else "'im'") in err

@@ -17,6 +17,7 @@ from schmidt_norms.matio import (
     load_ensemble,
     load_map,
     load_matrix,
+    load_state,
     read_json,
     write_json,
 )
@@ -56,6 +57,7 @@ def test_state_and_ensemble_round_trip():
     st = random_sr_k_vector((2, 3), 2, rng)
     back = dump_state(st)
     assert back["m"] == 2 and back["n"] == 3
+    assert np.array_equal(load_state(back).amplitudes, st.amplitudes)
     ens = random_schmidt_ensemble((2, 3), 2, 4, rng)
     eback = load_ensemble(dump_ensemble(ens))
     assert eback.k == ens.k
@@ -126,3 +128,29 @@ def test_write_json_stable_bytes(tmp_path):
     write_json(str(p2), obj)
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text()) == obj
+
+
+def test_non_finite_entries_rejected():
+    obj = {"rows": 2, "cols": 2, "re": [[1.0, 0.0], [0.0, float("nan")]]}
+    with pytest.raises(FormatError) as err:
+        load_matrix(obj)
+    assert "re" in str(err.value) and "finite" in str(err.value)
+    rng = RandomConfig(seed=4).generator()
+    ens = dump_ensemble(random_schmidt_ensemble((2, 2), 1, 3, rng))
+    ens["terms"][2]["weight"] = float("inf")
+    with pytest.raises(FormatError) as err:
+        load_ensemble(ens)
+    assert "terms[2].weight" in str(err.value)
+
+
+def test_load_state_validates():
+    rng = RandomConfig(seed=5).generator()
+    obj = dump_state(random_sr_k_vector((2, 2), 1, rng))
+    short = dict(obj, re=obj["re"][:3])
+    with pytest.raises(FormatError, match="'re'"):
+        load_state(short)
+    bad = dict(obj, im=[float("inf")] + obj["im"][1:])
+    with pytest.raises(FormatError, match="'im'"):
+        load_state(bad)
+    with pytest.raises(FormatError, match="'n'"):
+        load_state({"m": 2, "re": obj["re"], "im": obj["im"]})

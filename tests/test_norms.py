@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from schmidt_norms import fixtures
+from schmidt_norms.cones import k_block_positivity
 from schmidt_norms.linalg import (
     BipartiteOperator,
     Frame,
@@ -205,3 +206,8 @@ def test_k_validation():
             sk_norm(op, bad, _cfg(27, restarts=1))
         with pytest.raises(ValueError):
             omin_norm(op, bad, _cfg(27, restarts=1))
+    # norms and cones share one check, whose message names the dims plainly
+    op23 = BipartiteOperator((2, 3), np.eye(6))
+    for fn in (sk_norm, k_block_positivity):
+        with pytest.raises(ValueError, match=r"dims \(2, 3\)"):
+            fn(op23, 3, _cfg(27, restarts=1))

@@ -115,12 +115,3 @@ def test_run_restarts_minimize():
     cfg = SeeSawConfig(restarts=8, rng=RandomConfig(seed=7))
     best, outs = run_restarts(_value_worker, cfg, minimize=True)
     assert best.value == min(o.value for o in outs)
-
-
-def test_run_restarts_threaded_matches_serial():
-    serial = run_restarts(_value_worker,
-                          SeeSawConfig(restarts=6, rng=RandomConfig(seed=8)))
-    threaded = run_restarts(_value_worker,
-                            SeeSawConfig(restarts=6, rng=RandomConfig(seed=8),
-                                         threads=3))
-    assert [o.value for o in serial[1]] == [o.value for o in threaded[1]]
