@@ -118,6 +118,8 @@ class PureState:
 
     def __post_init__(self):
         m, n = self.dims
+        if m < 1 or n < 1:
+            raise ValueError("factor dimensions must be positive")
         amp = _as_complex(self.amplitudes).reshape(-1)
         if amp.shape != (m * n,):
             raise ValueError("amplitude length %d does not match dims (%d, %d)"

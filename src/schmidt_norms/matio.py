@@ -7,7 +7,9 @@ row-major; "im" may be omitted for real matrices.  Bipartite operators add
 Ensembles: {"m": m, "n": n, "k": k, "terms": [{"weight": w, "re": [...],
 "im": [...]}]} with flat amplitude lists; states are {"m", "n", "re", "im"}.
 
-Loaders raise :class:`FormatError` naming the offending field.
+Loaders raise :class:`FormatError` naming the offending field; every loader
+reads its fields through one helper, which also rejects input that is not a
+JSON object.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ class FormatError(ValueError):
 
 
 def _need(obj: dict, field: str, kind=None):
+    if not isinstance(obj, dict):
+        raise FormatError("input must be a JSON object with field %r" % field)
     if field not in obj:
         raise FormatError("missing field %r" % field)
     val = obj[field]
@@ -70,8 +74,6 @@ def _grid(obj: dict, field: str, rows: int, cols: int) -> np.ndarray:
 
 
 def load_matrix(obj: dict) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise FormatError("matrix object must be a JSON object")
     rows = _need(obj, "rows", int)
     cols = _need(obj, "cols", int)
     if rows < 1 or cols < 1:
@@ -128,8 +130,6 @@ def _state(obj: dict, m: int, n: int) -> PureState:
 
 
 def load_state(obj: dict) -> PureState:
-    if not isinstance(obj, dict):
-        raise FormatError("state object must be a JSON object")
     m = _need(obj, "m", int)
     n = _need(obj, "n", int)
     if m < 1 or n < 1:
@@ -140,6 +140,8 @@ def load_state(obj: dict) -> PureState:
 def load_ensemble(obj: dict) -> SchmidtEnsemble:
     m = _need(obj, "m", int)
     n = _need(obj, "n", int)
+    if m < 1 or n < 1:
+        raise FormatError("field 'm'/'n' must be positive")
     k = _need(obj, "k", int)
     terms = _need(obj, "terms")
     if not isinstance(terms, list) or not terms:

@@ -13,7 +13,8 @@ Norms implemented here:
 * ``omin_norm``      -- sup over orthonormal frames of the operator norm of
                         the compression (v and w share a right frame).
 * ``min_order_norm`` -- same with the numerical radius of the compression,
-                        i.e. sup |<v|X|v>| over Schmidt rank <= k.
+                        i.e. sup |<v|X|v>| over Schmidt rank <= k; Hermitian
+                        X is solved exactly by one eigh per evaluation.
 * ``max_order_norm_upper`` -- Hermitian-split upper bound.
 * ``dec_norm_value`` -- value of a supplied block-positive decomposition.
 * ``maxk_space_norm_bounds`` -- two-sided bounds for the k-maximal norm.
@@ -187,6 +188,16 @@ def _numrad_objective(c: np.ndarray):
     return val, [(np.exp(1j * theta), vec, vec)]
 
 
+def _hermitian_objective(c: np.ndarray):
+    """Numerical radius of a Hermitian compression, max(lambda_max,
+    -lambda_min), from one eigh: the theta = 0 or theta = pi attainer that
+    the angle search of `_numrad_objective` only approaches."""
+    vals, vecs = np.linalg.eigh(c)
+    if vals[-1] >= -vals[0]:
+        return float(vals[-1]), [(1.0 + 0.0j, vecs[:, -1], vecs[:, -1])]
+    return float(-vals[0]), [(-1.0 + 0.0j, vecs[:, 0], vecs[:, 0])]
+
+
 def _frame_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig, objective,
                 single_vector: bool) -> NormEstimate:
     """Shared driver for omin_norm / min_order_norm: frame ascent with the
@@ -246,11 +257,16 @@ def omin_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> 
 def min_order_norm(X: BipartiteOperator, k: int,
                    cfg: SeeSawConfig | None = None) -> NormEstimate:
     """Largest |<v|X|v>| over unit vectors of Schmidt rank <= k: sup over
-    orthonormal frames of the numerical radius of the compression (32-point
-    angle grid, golden-section refinement to 1e-8)."""
+    orthonormal frames of the numerical radius of the compression.
+
+    Hermitian X has Hermitian compressions, whose numerical radius is
+    max(lambda_max, -lambda_min): one eigh per evaluation solves it exactly.
+    Other X use a 32-point angle grid with golden-section refinement to 1e-8.
+    """
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
-    return _frame_norm(X, k, cfg, _numrad_objective, single_vector=True)
+    objective = _hermitian_objective if is_hermitian(X.mat) else _numrad_objective
+    return _frame_norm(X, k, cfg, objective, single_vector=True)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +282,9 @@ def _hermitian_split(X: BipartiteOperator):
 
 def _hermitian_radius(h: BipartiteOperator, k: int, cfg: SeeSawConfig):
     """Best lower bound on sup |<v|h|v>| over SR-<=k unit vectors for a
-    Hermitian operator: the numerical-radius ascent can stall on the weaker
-    eigenvalue side, so take the max against both one-sided eigen descents
-    (which share the frame machinery but have a different landscape)."""
+    Hermitian operator: the max of the `min_order_norm` ascent, which follows
+    whichever eigenvalue side wins, and both one-sided eigen descents (same
+    frame machinery and start frames, one side each)."""
     from .cones import k_block_positivity
 
     est = min_order_norm(h, k, cfg)

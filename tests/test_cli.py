@@ -141,6 +141,17 @@ def test_malformed_input_exit_1(workdir, capsys):
     assert "cols" in err
 
 
+def test_non_object_ensemble_exit_1(workdir, capsys):
+    bad = workdir / "list.json"
+    bad.write_text('["m", "n", "k", "terms"]')
+    code, report, err = _run(capsys, [
+        "cone", "verify-sn", "--state", str(workdir / "iso9.json"),
+        "--ensemble", str(bad)])
+    assert code == 1
+    assert report is None
+    assert err.startswith("error:") and "JSON object" in err
+
+
 def test_missing_file_exit_1(workdir, capsys):
     code, _, err = _run(capsys, [
         "norm", "sk", str(workdir / "absent.json"), "--k", "1"])

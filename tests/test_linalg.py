@@ -53,6 +53,13 @@ def test_pure_state_normalization_check():
     assert st.matrix_form().shape == (2, 2)
 
 
+def test_pure_state_rejects_non_positive_dims():
+    # (-1) * (-1) = 1 would otherwise match a one-amplitude vector
+    for dims in ((-1, -1), (0, 3), (2, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            PureState(dims=dims, amplitudes=np.array([1.0]))
+
+
 def test_tensor_and_dagger():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     b = np.array([[0, 1j], [1, 0]], dtype=complex)

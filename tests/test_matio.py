@@ -154,3 +154,19 @@ def test_load_state_validates():
         load_state(bad)
     with pytest.raises(FormatError, match="'n'"):
         load_state({"m": 2, "re": obj["re"], "im": obj["im"]})
+
+
+@pytest.mark.parametrize("loader", [load_matrix, load_bipartite, load_map,
+                                    load_ensemble, load_state])
+def test_non_object_input_rejected_by_every_loader(loader):
+    # a list holding the field names: `"m" in obj` holds, `obj["m"]` fails
+    for obj in (["m", "n", "k", "terms"], "rows", 3):
+        with pytest.raises(FormatError, match="JSON object"):
+            loader(obj)
+
+
+def test_ensemble_rejects_non_positive_dims():
+    term = {"weight": 1.0, "re": [1.0]}
+    for m, n in ((-1, -1), (0, 1), (1, 0)):
+        with pytest.raises(FormatError, match="field 'm'/'n' must be positive"):
+            load_ensemble({"m": m, "n": n, "k": 1, "terms": [term]})

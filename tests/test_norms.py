@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from schmidt_norms import fixtures
+from schmidt_norms import fixtures, norms
 from schmidt_norms.cones import k_block_positivity
 from schmidt_norms.linalg import (
     BipartiteOperator,
     Frame,
+    _numerical_radius_attain,
     min_eig_hermitian,
     operator_norm,
     tensor,
 )
 from schmidt_norms.norms import (
     SeeSawConfig,
+    _hermitian_objective,
     block_positive_decomposition,
     compress,
     dec_norm_value,
@@ -160,6 +162,59 @@ def test_minorder_full_k_is_numerical_radius():
     op = _random_op((3, 3), rng)
     est = min_order_norm(op, 3, _cfg(19, restarts=1))
     assert est.value == pytest.approx(numerical_radius(op.mat), abs=1e-8)
+
+
+def _random_hermitian(dims, rng, shift=0.0):
+    d = dims[0] * dims[1]
+    a = complex_gaussian(rng, (d, d))
+    return BipartiteOperator(dims=dims, mat=(a + a.conj().T) / 2 + shift * np.eye(d))
+
+
+def test_hermitian_objective_is_spectral_radius():
+    # a negative shift makes the bottom eigenvalue win, a positive one the top
+    rng = RandomConfig(seed=40).generator()
+    for d in (2, 3, 4, 6, 9):
+        for shift in (-3.0, -0.5, 0.0, 0.5, 3.0):
+            c = _random_hermitian((1, d), rng, shift).mat
+            evals = np.linalg.eigvalsh(c)
+            val, [(coef, u, w)] = _hermitian_objective(c)
+            assert val == pytest.approx(np.max(np.abs(evals)), abs=1e-12)
+            assert val >= _numerical_radius_attain(c, 32, 1e-8)[0] - 1e-12
+            top_wins = evals[-1] >= -evals[0]
+            assert coef == (1.0 if top_wins else -1.0)
+            assert np.array_equal(u, w)
+            assert np.real(coef * (u.conj() @ c @ u)) == pytest.approx(val, abs=1e-12)
+
+
+def test_hermitian_minorder_full_k_is_spectral_radius():
+    # k = n: the frame spans C^n and the one compression is solved exactly
+    rng = RandomConfig(seed=41).generator()
+    for dims in ((2, 2), (3, 2), (3, 3)):
+        for shift in (-2.0, 2.0):
+            op = _random_hermitian(dims, rng, shift)
+            est = min_order_norm(op, min(dims), _cfg(42, restarts=1))
+            radius = np.max(np.abs(np.linalg.eigvalsh(op.mat)))
+            assert est.value == pytest.approx(radius, abs=1e-12)
+
+
+def test_hermitian_routes_skip_numerical_radius(monkeypatch):
+    # the three routes that solve only Hermitian parts, and min_order_norm on
+    # Hermitian input, must not reach the golden-section angle search
+    def forbidden(*args, **kwargs):
+        raise AssertionError("golden-section numerical radius called")
+
+    monkeypatch.setattr(norms, "_numerical_radius_attain", forbidden)
+    rng = RandomConfig(seed=43).generator()
+    herm = _random_hermitian((2, 3), rng)
+    op = _random_op((2, 3), rng)
+    cfg = _cfg(44, restarts=2, max_iters=40)
+    assert min_order_norm(herm, 1, cfg).value > 0
+    for x in (herm, op):
+        parts = block_positive_decomposition(x, 1, cfg)
+        assert dec_norm_value(x, parts, 1, cfg).value > 0
+        assert max_order_norm_upper(x, 1, cfg).value > 0
+    with pytest.raises(AssertionError, match="golden-section"):
+        min_order_norm(op, 1, cfg)
 
 
 def test_block_positive_decomposition_reconstructs():
