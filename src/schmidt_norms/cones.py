@@ -30,8 +30,7 @@ from .linalg import (
     schmidt_rank,
 )
 # compress_tensor is unused here; perfbench's tracer test patches it here.
-from .optim import SeeSawConfig, compress_tensor, frame_ascent, iterations, \
-    lift_from_frame, run_restarts
+from .optim import SeeSawConfig, compress_tensor, frame_search, iterations
 from .rand import random_sr_k_vector
 
 __all__ = [
@@ -135,41 +134,22 @@ def k_block_positivity(X: BipartiteOperator, k: int,
                        cfg: SeeSawConfig | None = None) -> BlockPositivityVerdict:
     """Minimize <v|X|v> over Schmidt-rank-<=k unit vectors.
 
-    Frame see-saw: for a fixed orthonormal frame the inner minimum is the
-    bottom eigenpair of the compression (exact); the frame descends along the
-    projected gradient.  At k = min(m, n) the constraint is vacuous and the
-    global eigenpair is returned directly.
+    Frame see-saw through :func:`frame_search`: for a fixed orthonormal frame
+    the inner minimum is the bottom eigenpair of the compression (exact); the
+    frame descends along the projected gradient.  At k = min(m, n) the
+    constraint is vacuous and the global eigenpair is returned directly.
     """
     cfg = cfg or SeeSawConfig()
     if not is_hermitian(X.mat):
         raise ValueError("k-block positivity needs a Hermitian operator")
     _check_k(X, k)
-    m, n = X.dims
-
-    if k == min(m, n):
-        _, vecs = np.linalg.eigh(X.mat)
-        wit = PureState((m, n), vecs[:, 0])
-        val = float(np.real(wit.amplitudes.conj() @ X.mat @ wit.amplitudes))
-        status = "refuted" if val < -REFUTE_TOL else "heuristically-positive"
-        return BlockPositivityVerdict(status=status, min_value=val,
-                                      witness_vector=wit, k=k, frame=None,
-                                      restarts_used=0, iterations=0)
-
-    t4 = X.blocks()
-
-    def worker(_r: int, rng: np.random.Generator):
-        return frame_ascent(t4, k, rng, _mineig_objective, cfg, maximize=False)
-
-    best, outcomes = run_restarts(worker, cfg, minimize=True)
-    v = best.payload[0]
-    u = best.payload[1][0][1]
-    wit = PureState((m, n), lift_from_frame(u, v, m))
+    best, outcomes = frame_search(X, k, _mineig_objective, cfg, maximize=False)
+    frame, (wit,) = best.payload
     val = float(np.real(wit.amplitudes.conj() @ X.mat @ wit.amplitudes))
     status = "refuted" if val < -REFUTE_TOL else "heuristically-positive"
     return BlockPositivityVerdict(status=status, min_value=val,
-                                  witness_vector=wit, k=k,
-                                  frame=Frame(vectors=v.T.copy()),
-                                  restarts_used=cfg.restarts,
+                                  witness_vector=wit, k=k, frame=frame,
+                                  restarts_used=len(outcomes),
                                   iterations=iterations(outcomes))
 
 

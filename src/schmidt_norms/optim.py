@@ -1,5 +1,7 @@
 """Shared optimizer plumbing: frame compressions, projected-gradient ascent
-on the orthonormal-frame manifold, and the multi-restart driver.
+on the orthonormal-frame manifold, the multi-restart driver, and
+:func:`frame_search`, the one driver behind ``omin_norm``, ``min_order_norm``
+and ``k_block_positivity``.
 
 The frame optimizers all have the same shape: for a fixed orthonormal frame
 the inner problem is solved exactly by an eigen/singular decomposition of the
@@ -9,6 +11,10 @@ halving with at most five halvings per iteration, only improving steps are
 accepted).  Restart r draws its starting frame from RNG stream
 ``cfg.rng.stream(r)`` and the reported result is the best restart, ties going
 to the smaller restart index.
+
+:func:`frame_search` owns the one rule for a vacuous Schmidt-rank constraint:
+at k = n (or k = m when one vector is sought) the objective is solved once on
+X itself, with no restarts and no frame.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import BipartiteOperator, Frame, PureState
 from .rand import RandomConfig, _qr_phase_fixed, random_isometry
 
 __all__ = ["SeeSawConfig", "RestartOutcome", "run_restarts", "iterations",
-           "frame_ascent", "compress_tensor", "lift_from_frame"]
+           "frame_ascent", "frame_search", "compress_tensor", "lift_from_frame"]
 
 _MAX_HALVINGS = 5
 
@@ -33,6 +40,14 @@ class SeeSawConfig:
     max_iters: int = 200
     obj_tol: float = 1e-9
     rng: RandomConfig = field(default_factory=RandomConfig)
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if not 0.0 <= self.obj_tol < np.inf:  # also rejects NaN
+            raise ValueError("obj_tol must be finite and >= 0")
 
 
 @dataclass
@@ -162,3 +177,36 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
             break
     return RestartOutcome(value=val, payload=(v, terms), history=history,
                           converged=converged)
+
+
+def frame_search(X: BipartiteOperator, k: int, objective, cfg: SeeSawConfig,
+                 maximize: bool = True, single_vector: bool = True):
+    """Optimize ``objective`` (as for :func:`frame_ascent`) over the
+    compressions of X by k-dimensional right frames, restarted through
+    :func:`run_restarts`.
+
+    Returns (best, outcomes) as :func:`run_restarts` does, with the payload
+    of ``best`` replaced by (frame, vectors): the best restart's Frame and the
+    attaining vectors of the first term, u (and w unless ``single_vector``),
+    as PureStates of C^m (x) C^n.  The rank constraint is vacuous when k = n,
+    or when k = m and one vector is sought; then the objective is solved once
+    on X.mat, with no restarts (``outcomes`` is empty) and no frame (None).
+    """
+    m, n = X.dims
+    if k == n or (single_vector and k == m):
+        value, terms = objective(X.mat)
+        best, outcomes, v = RestartOutcome(value, None, [value], True), [], None
+    else:
+        t4 = X.blocks()
+
+        def worker(_r: int, rng: np.random.Generator) -> RestartOutcome:
+            return frame_ascent(t4, k, rng, objective, cfg, maximize=maximize)
+
+        best, outcomes = run_restarts(worker, cfg, minimize=not maximize)
+        v, terms = best.payload
+    _, u, w = terms[0]
+    vectors = tuple(PureState((m, n), x if v is None else lift_from_frame(x, v, m))
+                    for x in ((u,) if single_vector else (u, w)))
+    frame = None if v is None else Frame(vectors=v.T.copy())
+    return RestartOutcome(best.value, (frame, vectors), best.history,
+                          best.converged), outcomes

@@ -165,6 +165,17 @@ def test_bad_flag_exit_1(capsys):
     assert err
 
 
+@pytest.mark.parametrize("flags", [["--restarts", "0"], ["--restarts", "-2"],
+                                   ["--max-iters", "-5"], ["--tol", "nan"]],
+                         ids=["restarts0", "restarts-2", "max-iters-5", "tol-nan"])
+def test_bad_budget_exit_1(workdir, capsys, flags):
+    code, report, err = _run(capsys, [
+        "norm", "minorder", str(workdir / "ex51.json"), "--k", "1"] + flags)
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: ")
+
+
 def test_console_script_wiring(workdir):
     # the child finds the package from the checkout, installed or not
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

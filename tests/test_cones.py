@@ -64,6 +64,7 @@ def test_full_k_agrees_with_min_eig():
         verdict = k_block_positivity(op, 2, _cfg(5, restarts=1))
         assert verdict.min_value == pytest.approx(min_eig_hermitian(op.mat),
                                                   abs=1e-6)
+        assert verdict.restarts_used == 0 and verdict.frame is None
 
 
 def test_cone_nesting():

@@ -157,11 +157,23 @@ def test_hermitian_minorder_equals_omin():
 
 
 def test_minorder_full_k_is_numerical_radius():
+    # k = min(m, n) leaves one vector unconstrained: no restarts, no frame.
+    # Criterion-5 instance 1 (k = m = 2 < n = 3) stalled at 4.718776 against
+    # 5.018903 with 5 restarts while its vacuous constraint was searched.
     from schmidt_norms.linalg import numerical_radius
     rng = RandomConfig(seed=18).generator()
-    op = _random_op((3, 3), rng)
-    est = min_order_norm(op, 3, _cfg(19, restarts=1))
-    assert est.value == pytest.approx(numerical_radius(op.mat), abs=1e-8)
+    op33 = _random_op((3, 3), rng)
+    gen5 = RandomConfig(seed=501).generator()
+    c5 = [_random_op((2, 3), gen5) for _ in range(2)]
+    for op, k, cfg in ((op33, 3, _cfg(19, restarts=1)),
+                       (c5[1], 2, _cfg(502, restarts=5, max_iters=100))):
+        est = min_order_norm(op, k, cfg)
+        assert est.value == pytest.approx(numerical_radius(op.mat), abs=1e-8)
+        assert est.restarts_used == 0 and est.witness.frame is None
+    # omin at k = n: the frame spans C^n, so the value is the operator norm
+    est = omin_norm(op33, 3, _cfg(19, restarts=1))
+    assert est.value == pytest.approx(operator_norm(op33.mat), abs=1e-12)
+    assert est.restarts_used == 0 and est.witness.frame is None
 
 
 def _random_hermitian(dims, rng, shift=0.0):
@@ -187,14 +199,15 @@ def test_hermitian_objective_is_spectral_radius():
 
 
 def test_hermitian_minorder_full_k_is_spectral_radius():
-    # k = n: the frame spans C^n and the one compression is solved exactly
+    # k = min(m, n), also k = m < n: one eigh of X solves it exactly
     rng = RandomConfig(seed=41).generator()
-    for dims in ((2, 2), (3, 2), (3, 3)):
+    for dims in ((2, 2), (3, 2), (3, 3), (2, 3), (3, 4)):
         for shift in (-2.0, 2.0):
             op = _random_hermitian(dims, rng, shift)
             est = min_order_norm(op, min(dims), _cfg(42, restarts=1))
             radius = np.max(np.abs(np.linalg.eigvalsh(op.mat)))
             assert est.value == pytest.approx(radius, abs=1e-12)
+            assert est.restarts_used == 0 and est.witness.frame is None
 
 
 def test_hermitian_routes_skip_numerical_radius(monkeypatch):

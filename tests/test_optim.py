@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from schmidt_norms.optim import (
     SeeSawConfig,
@@ -115,3 +116,12 @@ def test_run_restarts_minimize():
     cfg = SeeSawConfig(restarts=8, rng=RandomConfig(seed=7))
     best, outs = run_restarts(_value_worker, cfg, minimize=True)
     assert best.value == min(o.value for o in outs)
+
+
+def test_seesaw_config_rejects_bad_budget():
+    for bad in (dict(restarts=0), dict(restarts=-2), dict(max_iters=-5),
+                dict(obj_tol=float("nan")), dict(obj_tol=float("inf")),
+                dict(obj_tol=-1e-9)):
+        with pytest.raises(ValueError):
+            SeeSawConfig(**bad)
+    SeeSawConfig(restarts=1, max_iters=0, obj_tol=0.0)  # smallest valid budget
