@@ -155,14 +155,13 @@ def _seesaw_params(args) -> dict:
 def _handle_norm(args):
     inputs = {"file": _digest(args.file)}
     op = load_bipartite(read_json(args.file))
-    cfg = _seesaw_cfg(args)
-    params = _seesaw_params(args)
-    if args.variant == "maxspace":
-        lower, upper = maxk_space_norm_bounds(op, args.k, cfg)
+    cfg = _seesaw_cfg(args)  # validates the budget flags of every variant
+    if args.variant == "maxspace":  # closed forms: no seed or budget shapes it
+        lower, upper = maxk_space_norm_bounds(op, args.k)
         result = {"lower": _dump_estimate(lower), "upper": _dump_estimate(upper)}
-        return inputs, params, result, 0
+        return inputs, {"k": args.k}, result, 0
     fn = {"sk": sk_norm, "omin": omin_norm, "minorder": min_order_norm}[args.variant]
-    return inputs, params, _dump_estimate(fn(op, args.k, cfg)), 0
+    return inputs, _seesaw_params(args), _dump_estimate(fn(op, args.k, cfg)), 0
 
 
 def _handle_cone_blockpos(args):

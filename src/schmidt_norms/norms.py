@@ -17,7 +17,9 @@ Norms implemented here:
                         X is solved exactly by one eigh per evaluation.
 * ``max_order_norm_upper`` -- Hermitian-split upper bound.
 * ``dec_norm_value`` -- value of a supplied block-positive decomposition.
-* ``maxk_space_norm_bounds`` -- two-sided bounds for the k-maximal norm.
+* ``maxk_space_norm_bounds`` -- two-sided bounds for the k-maximal norm in
+                        closed form with no search: k-row bands above, the
+                        identity and the transpose / min(k, n) below.
 
 ``omin_norm`` and ``min_order_norm`` run on ``optim.frame_search`` (as does
 ``cones.k_block_positivity``), which solves a vacuous rank constraint (k = n,
@@ -156,7 +158,7 @@ def sk_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> No
                                PureState((m, n), vh[0, :].conj())))
         return NormEstimate(value=val, direction="exact", witness=wit,
                             restarts_used=0, iterations=0, converged=True,
-                            history=[[val]])
+                            history=[])
     best, outcomes = run_restarts(_sk_worker(X.mat, m, n, k, cfg), cfg)
     v, w = best.payload
     wit = Witness(vectors=(PureState((m, n), v), PureState((m, n), w)))
@@ -343,7 +345,8 @@ def dec_norm_value(X: BipartiteOperator, parts, k: int,
                          % RECON_TOL)
     est = min_order_norm(BipartiteOperator(X.dims, abs_sum), k, cfg)
     return NormEstimate(value=est.value, direction="upper", witness=None,
-                        restarts_used=cfg.restarts, iterations=est.iterations,
+                        restarts_used=est.restarts_used,
+                        iterations=est.iterations,
                         converged=est.converged, history=est.history)
 
 
@@ -352,21 +355,20 @@ def dec_norm_value(X: BipartiteOperator, parts, k: int,
 # ---------------------------------------------------------------------------
 
 
-def maxk_space_norm_bounds(X: BipartiteOperator, k: int,
-                           cfg: SeeSawConfig | None = None,
-                           samples: int | None = None):
-    """(lower, upper) estimates for the k-maximal norm of X in M_m(M_n).
+def maxk_space_norm_bounds(X: BipartiteOperator, k: int):
+    """(lower, upper) estimates for the k-maximal norm of X in M_m(M_n): the
+    sup of ||(id_m (x) Phi)(X)|| over maps Phi with ||id_k (x) Phi|| <= 1.
 
     m <= k collapses both bounds to the operator norm (identity
     factorization).  Otherwise the upper bound slices X into k-row bands
     A_tu and evaluates sqrt(max_t sum_u ||A_tu||) * sqrt(max_u sum_t
-    ||A_tu||); the lower bound maximizes ||(id (x) Phi)(X)|| over sampled
-    CPTP maps Phi rescaled by their own k-level norm (the identity map is
-    always included, so the lower bound never drops below ||X||).
+    ||A_tu||).  The lower bound takes two maps whose k-level norm is known
+    in closed form: the identity, and the transpose T scaled by
+    1 / ||id_k (x) T|| = 1 / min(k, n), which gives max(||X||,
+    ||X^Gamma|| / min(k, n)) with X^Gamma the partial transpose on M_n.
+    No search runs: a CP map has ||id_k (x) Phi|| = ||Phi(I)|| (Russo-Dye),
+    so rescaled CP maps never beat the identity.
     """
-    from .maps import MapRepr, idk_apply, idk_op_norm
-
-    cfg = cfg or SeeSawConfig()
     if k < 1:
         raise ValueError("k must be >= 1")
     m, n = X.dims
@@ -374,7 +376,7 @@ def maxk_space_norm_bounds(X: BipartiteOperator, k: int,
     if m <= k:
         exact = NormEstimate(value=base, direction="exact", witness=None,
                              restarts_used=0, iterations=0, converged=True,
-                             history=[[base]])
+                             history=[])
         return exact, exact
 
     # upper: band partition into ceil(m/k) strips of at most k block rows
@@ -391,26 +393,12 @@ def maxk_space_norm_bounds(X: BipartiteOperator, k: int,
                       np.sqrt(np.max(nu.sum(axis=0))))
     upper = NormEstimate(value=upper_val, direction="upper", witness=None,
                          restarts_used=0, iterations=0, converged=True,
-                         history=[[upper_val]])
+                         history=[])
 
-    # lower: sampled channels, each rescaled to a k-level contraction
-    from .rand import random_cptp
-
-    count = cfg.restarts if samples is None else samples
-    sub_cfg = SeeSawConfig(restarts=max(4, cfg.restarts // 2),
-                           max_iters=cfg.max_iters, obj_tol=cfg.obj_tol,
-                           rng=cfg.rng.stream(10_000))
-    candidates = [base]
-    history = [[base]]
-    for s in range(count):
-        rng = cfg.rng.stream(20_000 + s).generator()
-        phi = MapRepr.from_choi(random_cptp(n, n, rng))
-        tau = idk_op_norm(phi, min(k, n), sub_cfg).value
-        mapped = idk_apply(phi, X.mat, m)
-        candidates.append(operator_norm(mapped) / tau)
-        history.append([candidates[-1]])
-    lower_val = float(max(candidates))
+    # lower: the identity and the rescaled transpose
+    x_gamma = blocks.transpose(0, 3, 2, 1).reshape(m * n, m * n)
+    lower_val = max(base, operator_norm(x_gamma) / min(k, n))
     lower = NormEstimate(value=lower_val, direction="lower", witness=None,
-                         restarts_used=count, iterations=0, converged=True,
-                         history=history)
+                         restarts_used=0, iterations=0, converged=True,
+                         history=[])
     return lower, upper

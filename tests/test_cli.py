@@ -165,15 +165,29 @@ def test_bad_flag_exit_1(capsys):
     assert err
 
 
-@pytest.mark.parametrize("flags", [["--restarts", "0"], ["--restarts", "-2"],
-                                   ["--max-iters", "-5"], ["--tol", "nan"]],
-                         ids=["restarts0", "restarts-2", "max-iters-5", "tol-nan"])
-def test_bad_budget_exit_1(workdir, capsys, flags):
+@pytest.mark.parametrize("variant, flags", [
+    ("minorder", ["--restarts", "0"]), ("minorder", ["--restarts", "-2"]),
+    ("minorder", ["--max-iters", "-5"]), ("minorder", ["--tol", "nan"]),
+    ("maxspace", ["--restarts", "0"])],
+    ids=["restarts0", "restarts-2", "max-iters-5", "tol-nan", "maxspace-restarts0"])
+def test_bad_budget_exit_1(workdir, capsys, variant, flags):
     code, report, err = _run(capsys, [
-        "norm", "minorder", str(workdir / "ex51.json"), "--k", "1"] + flags)
+        "norm", variant, str(workdir / "ex51.json"), "--k", "1"] + flags)
     assert code == 1
     assert report is None
     assert err.startswith("error: ")
+
+
+def test_maxspace_reports_only_k(workdir, capsys):
+    # closed-form bounds: the budget flags are validated but shape nothing
+    code, report, _ = _run(capsys, [
+        "norm", "maxspace", str(workdir / "swap3.json"), "--k", "1",
+        "--seed", "1", "--restarts", "6", "--max-iters", "120"])
+    assert code == 0
+    assert set(report["parameters"]) == {"k"}
+    res = report["result"]
+    assert res["lower"]["value"] <= res["upper"]["value"]
+    assert res["lower"]["value"] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_console_script_wiring(workdir):

@@ -53,6 +53,7 @@ def test_sk_full_k_is_operator_norm():
         op = _random_op((2, 3), rng)
         est = sk_norm(op, 2, _cfg(2, restarts=1))
         assert est.direction == "exact"
+        assert est.restarts_used == 0 and est.history == []
         assert est.value == pytest.approx(operator_norm(op.mat), abs=1e-10)
 
 
@@ -143,6 +144,13 @@ def test_hierarchy_with_dec_and_upper():
         assert mo <= om + 1e-6
         assert om <= dec + 1e-6
         assert dec <= upper + 1e-6
+    # k = n: the order norm of the part sum is solved once, with no restarts
+    op = fixtures.example51(3)
+    cfg = _cfg(15, restarts=5)
+    dec = dec_norm_value(op, block_positive_decomposition(op, 3, cfg), 3, cfg)
+    assert dec.restarts_used == 0 and dec.history == []
+    assert min_order_norm(op, 3, cfg).value <= dec.value + 1e-6
+    assert dec.value <= max_order_norm_upper(op, 3, cfg).value + 1e-6
 
 
 def test_hermitian_minorder_equals_omin():
@@ -249,22 +257,45 @@ def test_dec_norm_rejects_bad_decomposition():
 
 
 def test_maxk_space_bounds_sandwich():
+    # every k < m, including n < k < m at (4, 2), k = 3
     rng = RandomConfig(seed=23).generator()
-    op = _random_op((2, 3), rng)
-    lower, upper = maxk_space_norm_bounds(op, 1, _cfg(24, restarts=4), samples=6)
-    assert lower.direction == "lower"
-    assert upper.direction == "upper"
-    assert lower.value <= upper.value + 1e-9
-    assert lower.value >= operator_norm(op.mat) - 1e-9
+    cases = [((2, 3), 1), ((3, 3), 1), ((3, 3), 2), ((4, 2), 3)]
+    for dims, k in cases:
+        for op in (_random_op(dims, rng), _random_hermitian(dims, rng)):
+            lower, upper = maxk_space_norm_bounds(op, k)
+            assert lower.direction == "lower"
+            assert upper.direction == "upper"
+            base = operator_norm(op.mat)
+            assert base - 1e-12 <= lower.value <= upper.value + 1e-12
+            d = dims[0] * dims[1]
+            x_gamma = op.blocks().transpose(0, 3, 2, 1).reshape(d, d)
+            closed = max(base, operator_norm(x_gamma) / min(k, dims[1]))
+            assert lower.value == pytest.approx(closed, abs=1e-12)
+            for est in (lower, upper):
+                assert est.restarts_used == 0 and est.iterations == 0
+                assert est.converged and est.history == []
+
+
+def test_maxk_space_swap_closed_form():
+    # ||SWAP|| = 1 but ||SWAP^Gamma|| = n (n times the entangled projector):
+    # the rescaled transpose meets the band upper bound at k = 1
+    for n in (2, 3, 4):
+        lower, upper = maxk_space_norm_bounds(fixtures.swap_operator(n), 1)
+        assert lower.value == pytest.approx(n, abs=1e-12)
+        assert upper.value == pytest.approx(n, abs=1e-12)
+    lower, upper = maxk_space_norm_bounds(fixtures.swap_operator(3), 2)
+    assert lower.value == pytest.approx(1.5, abs=1e-12)
+    assert upper.value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_maxk_space_full_k_exact():
     rng = RandomConfig(seed=25).generator()
     op = _random_op((2, 3), rng)
-    lower, upper = maxk_space_norm_bounds(op, 2, _cfg(26, restarts=2))
+    lower, upper = maxk_space_norm_bounds(op, 2)
     assert lower.direction == "exact" and upper.direction == "exact"
     assert lower.value == pytest.approx(operator_norm(op.mat), abs=1e-10)
     assert upper.value == pytest.approx(lower.value, abs=1e-12)
+    assert lower.restarts_used == 0 and lower.history == []
 
 
 def test_k_validation():
