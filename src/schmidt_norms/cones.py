@@ -153,13 +153,21 @@ def k_block_positivity(X: BipartiteOperator, k: int,
                                   iterations=iterations(outcomes))
 
 
-def sn_upper_verify(rho: BipartiteOperator, ens: SchmidtEnsemble) -> bool:
-    """True iff the ensemble reconstructs rho within RECON_TOL, certifying
-    Schmidt number <= ens.k."""
+def _check_state(rho: BipartiteOperator) -> None:
+    """Raise ValueError unless rho is a density operator: Hermitian, unit
+    trace and positive semidefinite (within EVAL_TOL)."""
     if not is_hermitian(rho.mat):
         raise ValueError("state must be Hermitian")
     if abs(np.trace(rho.mat).real - 1.0) > UNIT_TOL:
         raise ValueError("state must have unit trace")
+    if min_eig_hermitian(rho.mat) < -EVAL_TOL:
+        raise ValueError("state must be positive semidefinite")
+
+
+def sn_upper_verify(rho: BipartiteOperator, ens: SchmidtEnsemble) -> bool:
+    """True iff the ensemble reconstructs rho within RECON_TOL, certifying
+    Schmidt number <= ens.k."""
+    _check_state(rho)
     if ens.dims != rho.dims:
         raise ValueError("ensemble dims %r do not match state dims %r"
                          % (ens.dims, rho.dims))
@@ -174,12 +182,7 @@ def witness_check(W: BipartiteOperator, rho: BipartiteOperator, k: int,
     cfg = cfg or SeeSawConfig()
     if not is_hermitian(W.mat):
         raise ValueError("witness must be Hermitian")
-    if not is_hermitian(rho.mat):
-        raise ValueError("state must be Hermitian")
-    if abs(np.trace(rho.mat).real - 1.0) > UNIT_TOL:
-        raise ValueError("state must have unit trace")
-    if min_eig_hermitian(rho.mat) < -EVAL_TOL:
-        raise ValueError("state must be positive semidefinite")
+    _check_state(rho)
     if W.dims != rho.dims:
         raise ValueError("witness dims %r do not match state dims %r"
                          % (W.dims, rho.dims))

@@ -13,16 +13,18 @@ The two map norms are multi-restart see-saws with exact inner steps:
 * ``hermitian_trace_norm``: sup ||(id_k (x) Phi)(|u><u|)||_tr over unit u;
   rank-1 projections are extreme among Hermitian trace-ball elements, so this
   is a projected-gradient ascent on the sphere.
+
+Both run ``optim.ascend`` and report as ``norms.NormEstimate`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cones import BlockPositivityVerdict, SchmidtEnsemble, WitnessCertificate, \
-    k_block_positivity, sn_upper_verify, witness_check
+    _check_state, k_block_positivity, sn_upper_verify, witness_check
 from .linalg import (
     EVAL_TOL,
     REFUTE_TOL,
@@ -34,7 +36,8 @@ from .linalg import (
     min_eig_hermitian,
     trace_norm,
 )
-from .optim import RestartOutcome, SeeSawConfig, iterations, run_restarts
+from .optim import (RestartOutcome, SeeSawConfig, ascend, projected_step,
+                    run_restarts, search_metadata)
 from .rand import random_unit_vector
 
 __all__ = [
@@ -223,10 +226,10 @@ class MapNormEstimate:
     value: float
     direction: str  # "lower" | "exact-flagged"
     attaining_input: object
-    restarts_used: int
-    iterations: int
-    converged: bool
-    history: list
+    restarts_used: int = 0
+    iterations: int = 0
+    converged: bool = True
+    history: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.direction not in ("lower", "exact-flagged"):
@@ -252,6 +255,15 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
         raise ValueError("k must be >= 1")
     r, n = phi.in_dim, phi.out_dim
 
+    def evaluate(x: np.ndarray):
+        u, s, vh = np.linalg.svd(idk_apply(phi, x, k))
+        return float(s[0]), (x, u[:, 0], vh[0, :].conj())
+
+    def step(_value: float, state):
+        _, v, w = state
+        val, state = evaluate(_polar_trace_step(idk_pairing_matrix(phi, v, w, k)))
+        return [val], val, state
+
     def worker(restart: int, rng: np.random.Generator) -> RestartOutcome:
         if restart == 0:
             x = np.eye(k * r, dtype=complex)
@@ -259,34 +271,13 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
             x = _polar_trace_step(idk_pairing_matrix(
                 phi, random_unit_vector(k * n, rng),
                 random_unit_vector(k * n, rng), k))
-        z = idk_apply(phi, x, k)
-        u, s, vh = np.linalg.svd(z)
-        val = float(s[0])
-        v, w = u[:, 0], vh[0, :].conj()
-        history = [val]
-        converged = False
-        for _ in range(cfg.max_iters):
-            prev = val
-            x = _polar_trace_step(idk_pairing_matrix(phi, v, w, k))
-            z = idk_apply(phi, x, k)
-            u, s, vh = np.linalg.svd(z)
-            val = float(s[0])
-            v, w = u[:, 0], vh[0, :].conj()
-            history.append(val)
-            if val - prev < cfg.obj_tol:
-                converged = True
-                break
-        return RestartOutcome(value=val, payload=x, history=history,
-                              converged=converged)
+        return ascend(*evaluate(x), step, cfg)
 
     best, outcomes = run_restarts(worker, cfg)
     direction = "exact-flagged" if phi.is_cp() else "lower"
     return MapNormEstimate(value=best.value, direction=direction,
-                           attaining_input=best.payload,
-                           restarts_used=cfg.restarts,
-                           iterations=iterations(outcomes),
-                           converged=best.converged,
-                           history=[o.history for o in outcomes])
+                           attaining_input=best.payload[0],
+                           **search_metadata(best, outcomes))
 
 
 def _sign_matrix(a: np.ndarray) -> np.ndarray:
@@ -314,10 +305,14 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
         a = idk_apply(phi, np.outer(u, u.conj()), k)
         return trace_norm(a), a
 
-    def gradient(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    def direction(u: np.ndarray, a: np.ndarray) -> np.ndarray:
         s4 = _sign_matrix((a + a.conj().T) / 2.0).reshape(k, n, k, n)
         kmat = np.einsum("qbpa,iajb->piqj", s4, j4).reshape(d, d)
-        return kmat.T @ u
+        g = kmat.T @ u
+        return g - u * (u.conj() @ g)
+
+    def normalize(u: np.ndarray) -> np.ndarray:
+        return u / np.linalg.norm(u)
 
     def worker(restart: int, rng: np.random.Generator) -> RestartOutcome:
         if restart == 0:
@@ -328,47 +323,13 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
         else:
             u = random_unit_vector(d, rng)
         val, a = value_at(u)
-        history = [val]
-        eta = 0.5
-        converged = False
-        for _ in range(cfg.max_iters):
-            g = gradient(u, a)
-            g = g - u * (u.conj() @ g)
-            gn = np.linalg.norm(g)
-            if gn < 1e-14:
-                converged = True
-                break
-            g = g / gn
-            step = eta
-            accepted = False
-            for _ in range(6):
-                cand = u + step * g
-                cand = cand / np.linalg.norm(cand)
-                cand_val, cand_a = value_at(cand)
-                if cand_val > val:
-                    accepted = True
-                    break
-                step /= 2.0
-            if not accepted:
-                converged = True
-                break
-            gain = cand_val - val
-            u, a, val = cand, cand_a, cand_val
-            history.append(val)
-            eta = min(step * 1.5, 1.0)
-            if gain < cfg.obj_tol:
-                converged = True
-                break
-        return RestartOutcome(value=val, payload=u, history=history,
-                              converged=converged)
+        step = projected_step(value_at, direction, normalize, 0.5, 1e-14)
+        return ascend(val, (u, a), step, cfg)
 
     best, outcomes = run_restarts(worker, cfg)
     return MapNormEstimate(value=best.value, direction="lower",
-                           attaining_input=PureState((k, r), best.payload),
-                           restarts_used=cfg.restarts,
-                           iterations=iterations(outcomes),
-                           converged=best.converged,
-                           history=[o.history for o in outcomes])
+                           attaining_input=PureState((k, r), best.payload[0]),
+                           **search_metadata(best, outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +391,7 @@ def sn_contraction_test(rho: BipartiteOperator, phi: MapRepr, k: int,
     certifies one, otherwise against the library's own estimate.
     """
     cfg = cfg or SeeSawConfig()
-    if not is_hermitian(rho.mat):
-        raise ValueError("state must be Hermitian")
-    if abs(np.trace(rho.mat).real - 1.0) > UNIT_TOL:
-        raise ValueError("state must have unit trace")
-    if min_eig_hermitian(rho.mat) < -EVAL_TOL:
-        raise ValueError("state must be positive semidefinite")
+    _check_state(rho)
     if rho.n != phi.in_dim:
         raise ValueError("map input dim %d does not match state second factor %d"
                          % (phi.in_dim, rho.n))

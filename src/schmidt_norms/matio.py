@@ -20,6 +20,7 @@ import numpy as np
 
 from .cones import SchmidtEnsemble
 from .linalg import BipartiteOperator, PureState
+from .maps import MapRepr
 
 __all__ = [
     "FormatError",
@@ -98,9 +99,7 @@ def load_bipartite(obj: dict) -> BipartiteOperator:
     return BipartiteOperator((m, n), mat)
 
 
-def load_map(obj: dict):
-    from .maps import MapRepr
-
+def load_map(obj: dict) -> MapRepr:
     r = _need(obj, "in_dim", int)
     n = _need(obj, "out_dim", int)
     if "m" in obj or "n" in obj:

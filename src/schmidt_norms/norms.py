@@ -24,14 +24,17 @@ Norms implemented here:
 ``omin_norm`` and ``min_order_norm`` run on ``optim.frame_search`` (as does
 ``cones.k_block_positivity``), which solves a vacuous rank constraint (k = n,
 or k = m for one vector) once on X; the value is the witness form |<u|X|w>|.
+Every search runs ``optim.ascend``; see :class:`NormEstimate` for what the
+metadata reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .cones import k_block_positivity
 from .linalg import (
     HERM_TOL,
     RECON_TOL,
@@ -47,10 +50,11 @@ from .linalg import (
 from .optim import (
     RestartOutcome,
     SeeSawConfig,
+    ascend,
     compress_tensor,
     frame_search,
-    iterations,
     run_restarts,
+    search_metadata,
 )
 from .rand import random_sr_k_vector
 
@@ -82,17 +86,19 @@ class Witness:
 class NormEstimate:
     """A computed norm value with its bound direction and search metadata.
 
-    ``iterations`` counts accepted improvement steps summed over restarts;
-    ``history`` holds one nondecreasing objective log per restart.
+    Closed forms report the zero-work defaults.  Searches report through
+    ``optim.search_metadata``: ``restarts_used`` restarts ran, ``history``
+    holds one nondecreasing log per restart, ``iterations`` sums
+    len(h) - 1 over them.  ``max_order_norm_upper`` sums over its searches.
     """
 
     value: float
     direction: str  # "lower" | "upper" | "exact"
     witness: Witness | None
-    restarts_used: int
-    iterations: int
-    converged: bool
-    history: list
+    restarts_used: int = 0
+    iterations: int = 0
+    converged: bool = True
+    history: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.direction not in ("lower", "upper", "exact"):
@@ -104,39 +110,28 @@ class NormEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _sk_worker(xm: np.ndarray, m: int, n: int, k: int, cfg: SeeSawConfig):
-    def worker(_r: int, rng: np.random.Generator) -> RestartOutcome:
-        v = random_sr_k_vector((m, n), k, rng).amplitudes
-        w = random_sr_k_vector((m, n), k, rng).amplitudes
-        val = float(np.abs(v.conj() @ xm @ w))
-        history = [val]
-        converged = False
-        for _ in range(cfg.max_iters):
-            prev = val
-            u = xm @ w
-            t = _truncate_vec(u, m, n, k).reshape(-1)
-            nt = np.linalg.norm(t)
-            if nt < 1e-300:
-                converged = True
-                break
-            v = t / nt
-            history.append(float(np.real(v.conj() @ u)))
-            y = xm.conj().T @ v
-            t = _truncate_vec(y, m, n, k).reshape(-1)
-            nt = np.linalg.norm(t)
-            if nt < 1e-300:
-                converged = True
-                break
-            w = t / nt
-            val = float(np.real(w.conj() @ y))
-            history.append(val)
-            if val - prev < cfg.obj_tol:
-                converged = True
-                break
-        return RestartOutcome(value=val, payload=(v, w), history=history,
-                              converged=converged)
+def _sk_step(xm: np.ndarray, m: int, n: int, k: int):
+    """One see-saw step for :func:`optim.ascend` over states (v, w): both
+    half-steps, each the renormalized Schmidt truncation of X w (then of
+    X^dagger v), logged one value each; None when a truncation vanishes."""
+    def truncate(z: np.ndarray):
+        t = _truncate_vec(z, m, n, k).reshape(-1)
+        nt = np.linalg.norm(t)
+        return None if nt < 1e-300 else t / nt
 
-    return worker
+    def step(_value: float, state):
+        u = xm @ state[1]
+        v = truncate(u)
+        if v is None:
+            return None
+        y = xm.conj().T @ v
+        w = truncate(y)
+        if w is None:
+            return None
+        val = float(np.real(w.conj() @ y))
+        return [float(np.real(v.conj() @ u)), val], val, (v, w)
+
+    return step
 
 
 def sk_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> NormEstimate:
@@ -156,17 +151,20 @@ def sk_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> No
         val = float(s[0])
         wit = Witness(vectors=(PureState((m, n), u[:, 0]),
                                PureState((m, n), vh[0, :].conj())))
-        return NormEstimate(value=val, direction="exact", witness=wit,
-                            restarts_used=0, iterations=0, converged=True,
-                            history=[])
-    best, outcomes = run_restarts(_sk_worker(X.mat, m, n, k, cfg), cfg)
+        return NormEstimate(value=val, direction="exact", witness=wit)
+    xm = X.mat
+    step = _sk_step(xm, m, n, k)
+
+    def worker(_r: int, rng: np.random.Generator) -> RestartOutcome:
+        v = random_sr_k_vector((m, n), k, rng).amplitudes
+        w = random_sr_k_vector((m, n), k, rng).amplitudes
+        return ascend(float(np.abs(v.conj() @ xm @ w)), (v, w), step, cfg)
+
+    best, outcomes = run_restarts(worker, cfg)
     v, w = best.payload
     wit = Witness(vectors=(PureState((m, n), v), PureState((m, n), w)))
     return NormEstimate(value=best.value, direction="lower", witness=wit,
-                        restarts_used=cfg.restarts,
-                        iterations=iterations(outcomes),
-                        converged=best.converged,
-                        history=[o.history for o in outcomes])
+                        **search_metadata(best, outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +212,7 @@ def _frame_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig, objective,
     u, w = vectors[0].amplitudes, vectors[-1].amplitudes
     return NormEstimate(value=float(np.abs(u.conj() @ X.mat @ w)),
                         direction="lower", witness=Witness(vectors, frame),
-                        restarts_used=len(outcomes),
-                        iterations=iterations(outcomes),
-                        converged=best.converged,
-                        history=[o.history for o in outcomes])
+                        **search_metadata(best, outcomes))
 
 
 def omin_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> NormEstimate:
@@ -257,20 +252,21 @@ def _hermitian_radius(h: BipartiteOperator, k: int, cfg: SeeSawConfig):
     The `min_order_norm` leg is not redundant: on the 200 Hermitian parts of
     criterion 5 (5 restarts, config seed 502) it beat both descents once, on
     H2 of instance 24 at k = 1 (2.51535 against 2.29279), and dropping it
-    would lower that instance's `dec` and `upper` by 0.22."""
-    from .cones import k_block_positivity
+    would lower that instance's `dec` and `upper` by 0.22.
 
+    Returns (value, restarts, iterations, converged of the first leg)."""
     est = min_order_norm(h, k, cfg)
     lo = k_block_positivity(h, k, cfg)
     hi = k_block_positivity(BipartiteOperator(h.dims, -h.mat), k, cfg)
     value = max(est.value, -lo.min_value, -hi.min_value)
-    iters = est.iterations + lo.iterations + hi.iterations
-    return value, iters, est.converged
+    searches = (est, lo, hi)
+    return (value, sum(s.restarts_used for s in searches),
+            sum(s.iterations for s in searches), est.converged)
 
 
 def _hermitian_parts(X: BipartiteOperator, k: int, cfg: SeeSawConfig):
     """Split X = H1 + i H2 into Hermitian parts and estimate the order norm
-    of each: [(c, H, (value, iterations, converged))] with c = 1 for H1 and
+    of each: [(c, H, _hermitian_radius(H))] with c = 1 for H1 and
     c = i for H2.  A part whose entries are all within HERM_TOL is skipped;
     if both are (X ~ 0), H1 alone is kept."""
     h1 = (X.mat + X.mat.conj().T) / 2.0
@@ -285,14 +281,15 @@ def max_order_norm_upper(X: BipartiteOperator, k: int,
                          cfg: SeeSawConfig | None = None) -> NormEstimate:
     """Upper bound from the split X = H1 + i H2: the sum of the order norms
     of the Hermitian parts (each exact on Hermitians up to search quality).
-    Single-term for (anti-)Hermitian X."""
+    Single-term for (anti-)Hermitian X.  ``history`` stays empty: the value
+    is no single search's objective."""
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
     radii = [r for _, _, r in _hermitian_parts(X, k, cfg)]
     return NormEstimate(value=sum(r[0] for r in radii), direction="upper",
-                        witness=None, restarts_used=cfg.restarts,
-                        iterations=sum(r[1] for r in radii),
-                        converged=all(r[2] for r in radii), history=[])
+                        witness=None, restarts_used=sum(r[1] for r in radii),
+                        iterations=sum(r[2] for r in radii),
+                        converged=all(r[3] for r in radii))
 
 
 def block_positive_decomposition(X: BipartiteOperator, k: int,
@@ -304,7 +301,7 @@ def block_positive_decomposition(X: BipartiteOperator, k: int,
     _check_k(X, k)
     eye = np.eye(X.mat.shape[0], dtype=complex)
     parts = []
-    for c, h, (value, _, _) in _hermitian_parts(X, k, cfg):
+    for c, h, (value, *_) in _hermitian_parts(X, k, cfg):
         lam, t = c / 2, value + 1e-8
         parts.append((lam, BipartiteOperator(X.dims, t * eye + h)))
         parts.append((-lam, BipartiteOperator(X.dims, t * eye - h)))
@@ -320,8 +317,6 @@ def dec_norm_value(X: BipartiteOperator, parts, k: int,
     tolerance or if any part is refuted as k-block positive by the heuristic.
     No infimum over decompositions is attempted.
     """
-    from .cones import k_block_positivity
-
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
     if not parts:
@@ -344,10 +339,7 @@ def dec_norm_value(X: BipartiteOperator, parts, k: int,
         raise ValueError("parts do not reconstruct the operator within %g"
                          % RECON_TOL)
     est = min_order_norm(BipartiteOperator(X.dims, abs_sum), k, cfg)
-    return NormEstimate(value=est.value, direction="upper", witness=None,
-                        restarts_used=est.restarts_used,
-                        iterations=est.iterations,
-                        converged=est.converged, history=est.history)
+    return replace(est, direction="upper", witness=None)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +366,7 @@ def maxk_space_norm_bounds(X: BipartiteOperator, k: int):
     m, n = X.dims
     base = operator_norm(X.mat)
     if m <= k:
-        exact = NormEstimate(value=base, direction="exact", witness=None,
-                             restarts_used=0, iterations=0, converged=True,
-                             history=[])
+        exact = NormEstimate(value=base, direction="exact", witness=None)
         return exact, exact
 
     # upper: band partition into ceil(m/k) strips of at most k block rows
@@ -391,14 +381,10 @@ def maxk_space_norm_bounds(X: BipartiteOperator, k: int):
             nu[t, s] = operator_norm(sub)
     upper_val = float(np.sqrt(np.max(nu.sum(axis=1))) *
                       np.sqrt(np.max(nu.sum(axis=0))))
-    upper = NormEstimate(value=upper_val, direction="upper", witness=None,
-                         restarts_used=0, iterations=0, converged=True,
-                         history=[])
+    upper = NormEstimate(value=upper_val, direction="upper", witness=None)
 
     # lower: the identity and the rescaled transpose
     x_gamma = blocks.transpose(0, 3, 2, 1).reshape(m * n, m * n)
     lower_val = max(base, operator_norm(x_gamma) / min(k, n))
-    lower = NormEstimate(value=lower_val, direction="lower", witness=None,
-                         restarts_used=0, iterations=0, converged=True,
-                         history=[])
+    lower = NormEstimate(value=lower_val, direction="lower", witness=None)
     return lower, upper

@@ -1,16 +1,15 @@
-"""Shared optimizer plumbing: frame compressions, projected-gradient ascent
-on the orthonormal-frame manifold, the multi-restart driver, and
-:func:`frame_search`, the one driver behind ``omin_norm``, ``min_order_norm``
-and ``k_block_positivity``.
+"""Shared optimizer plumbing: the one ascent loop, the restart driver,
+frame compressions, and :func:`frame_search`, the one driver behind
+``omin_norm``, ``min_order_norm`` and ``k_block_positivity``.
 
-The frame optimizers all have the same shape: for a fixed orthonormal frame
-the inner problem is solved exactly by an eigen/singular decomposition of the
-compressed operator, and the frame itself is improved by a projected gradient
-step (gradient through the attaining vectors, QR re-orthonormalization, step
-halving with at most five halvings per iteration, only improving steps are
-accepted).  Restart r draws its starting frame from RNG stream
-``cfg.rng.stream(r)`` and the reported result is the best restart, ties going
-to the smaller restart index.
+Every search is a monotone ascent with an exact inner step and runs
+:func:`ascend`: the ``sk_norm`` and ``idk_op_norm`` see-saws with their own
+steps, the frame ascent and the sphere ascent of ``hermitian_trace_norm``
+with :func:`projected_step`, each keeping its own retraction, first step
+and gradient floor.  Restart r draws its start from RNG stream
+``cfg.rng.stream(r)``; the result is the best restart, ties going to the
+smaller index, and :func:`search_metadata` gives an estimate's search
+fields (``restarts_used`` = restarts that ran).
 
 :func:`frame_search` owns the one rule for a vacuous Schmidt-rank constraint:
 at k = n (or k = m when one vector is sought) the objective is solved once on
@@ -27,7 +26,8 @@ from .linalg import BipartiteOperator, Frame, PureState
 from .rand import RandomConfig, _qr_phase_fixed, random_isometry
 
 __all__ = ["SeeSawConfig", "RestartOutcome", "run_restarts", "iterations",
-           "frame_ascent", "frame_search", "compress_tensor", "lift_from_frame"]
+           "search_metadata", "ascend", "projected_step", "frame_ascent",
+           "frame_search", "compress_tensor", "lift_from_frame"]
 
 _MAX_HALVINGS = 5
 
@@ -74,8 +74,71 @@ def run_restarts(worker, cfg: SeeSawConfig, minimize: bool = False):
 
 
 def iterations(outcomes) -> int:
-    """Accepted improvement steps summed over the restarts' histories."""
+    """Logged steps summed over the restarts' histories, len(h) - 1 each."""
     return int(sum(max(len(o.history) - 1, 0) for o in outcomes))
+
+
+def search_metadata(best: RestartOutcome, outcomes) -> dict:
+    """An estimate's search fields from (best, outcomes): one restart and
+    one objective log per outcome, and the best restart's ``converged``."""
+    return dict(restarts_used=len(outcomes), iterations=iterations(outcomes),
+                converged=best.converged, history=[o.history for o in outcomes])
+
+
+def ascend(value: float, state, step, cfg: SeeSawConfig,
+           sign: float = 1.0) -> RestartOutcome:
+    """The one monotone ascent loop (a descent for ``sign = -1``).
+
+    ``step(value, state)`` returns (logged values, new value, new state), or
+    None when no improving move exists.  The loop stops as converged on None
+    or when the signed gain ``sign * (new - value)`` is below ``cfg.obj_tol``,
+    and as not converged after ``cfg.max_iters`` steps.  The history starts
+    with ``value`` and appends every logged value; the payload is the last
+    state.
+    """
+    history = [value]
+    for _ in range(cfg.max_iters):
+        moved = step(value, state)
+        if moved is None:
+            return RestartOutcome(value, state, history, True)
+        logged, new, state = moved
+        history.extend(logged)
+        gain, value = sign * (new - value), new
+        if gain < cfg.obj_tol:
+            return RestartOutcome(value, state, history, True)
+    return RestartOutcome(value, state, history, False)
+
+
+def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
+                   sign: float = 1.0):
+    """The line search of the frame and sphere ascents, as an :func:`ascend`
+    step over states (x, data) with ``evaluate(x) -> (value, data)``.
+
+    The tangent ``direction(x, data)`` ends the search when shorter than
+    ``grad_tol``; normalized, it is tried with at most ``_MAX_HALVINGS + 1``
+    step sizes halving from ``eta``, each point mapped back by ``retract``,
+    until one improves.  The next step starts at 1.5 times the accepted
+    one, capped at 1.
+    """
+    def step(value, state):
+        nonlocal eta
+        x, data = state
+        g = direction(x, data)
+        gnorm = np.linalg.norm(g)
+        if gnorm < grad_tol:
+            return None
+        g = g / gnorm
+        t = eta
+        for _ in range(_MAX_HALVINGS + 1):
+            x_new = retract(x + t * g)
+            val_new, data_new = evaluate(x_new)
+            if sign * val_new > sign * value:
+                eta = min(t * 1.5, 1.0)
+                return [val_new], val_new, (x_new, data_new)
+            t /= 2.0
+        return None
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -136,47 +199,21 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
     and return the differential data for :func:`_frame_gradient`.  Returns a
     RestartOutcome whose payload is (V, value-attaining terms).
     """
-    n = t4.shape[1]
-    v = random_isometry(n, k, rng)
     sign = 1.0 if maximize else -1.0
 
-    c = compress_tensor(t4, v)
-    val, terms = objective(c)
-    history = [val]
-    eta = 0.25
-    converged = False
-    for _ in range(cfg.max_iters):
+    def evaluate(v):
+        return objective(compress_tensor(t4, v))
+
+    def direction(v, terms):
         g = sign * _frame_gradient(t4, v, terms)
         # project onto the tangent space of the Stiefel manifold
         a = v.conj().T @ g
-        g = g - v @ ((a + a.conj().T) / 2.0)
-        gnorm = np.linalg.norm(g)
-        if gnorm < 1e-15:
-            converged = True
-            break
-        g = g / gnorm
-        step = eta
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            v_new = _qr_phase_fixed(v + step * g)
-            c_new = compress_tensor(t4, v_new)
-            val_new, terms_new = objective(c_new)
-            if (val_new > val) if maximize else (val_new < val):
-                accepted = True
-                break
-            step /= 2.0
-        if not accepted:
-            converged = True
-            break
-        gain = abs(val_new - val)
-        v, val, terms = v_new, val_new, terms_new
-        history.append(val)
-        eta = min(step * 1.5, 1.0)
-        if gain < cfg.obj_tol:
-            converged = True
-            break
-    return RestartOutcome(value=val, payload=(v, terms), history=history,
-                          converged=converged)
+        return g - v @ ((a + a.conj().T) / 2.0)
+
+    v = random_isometry(t4.shape[1], k, rng)
+    val, terms = evaluate(v)
+    step = projected_step(evaluate, direction, _qr_phase_fixed, 0.25, 1e-15, sign)
+    return ascend(val, (v, terms), step, cfg, sign)
 
 
 def frame_search(X: BipartiteOperator, k: int, objective, cfg: SeeSawConfig,

@@ -8,7 +8,8 @@ import pytest
 
 from schmidt_norms import fixtures
 from schmidt_norms.cli import main
-from schmidt_norms.matio import dump_bipartite, dump_map, write_json
+from schmidt_norms.linalg import BipartiteOperator
+from schmidt_norms.matio import dump_bipartite, dump_ensemble, dump_map, write_json
 from schmidt_norms.maps import reduction_map
 
 
@@ -150,6 +151,20 @@ def test_non_object_ensemble_exit_1(workdir, capsys):
     assert code == 1
     assert report is None
     assert err.startswith("error:") and "JSON object" in err
+
+
+def test_verify_sn_non_psd_state_exit_1(workdir, capsys):
+    # Hermitian with unit trace, but one negative eigenvalue
+    not_psd = BipartiteOperator((3, 3), np.diag([2.0] + [-1.0 / 8] * 8))
+    write_json(str(workdir / "notpsd.json"), dump_bipartite(not_psd))
+    write_json(str(workdir / "ens.json"),
+               dump_ensemble(fixtures.basis_product_ensemble(3, 3)))
+    code, report, err = _run(capsys, [
+        "cone", "verify-sn", "--state", str(workdir / "notpsd.json"),
+        "--ensemble", str(workdir / "ens.json")])
+    assert code == 1
+    assert report is None
+    assert err.startswith("error:") and "positive semidefinite" in err
 
 
 def test_missing_file_exit_1(workdir, capsys):

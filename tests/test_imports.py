@@ -3,7 +3,8 @@
 A module-level name counts as used when the module reads it (as a bare name or
 as the base of an attribute access) or lists it in ``__all__`` as a re-export.
 An import inside a function body counts as used only when that function
-(nested functions included) reads the name.
+(nested functions included) reads the name, and no function body imports a
+``schmidt_norms`` module: the package has no import cycle to break that way.
 """
 
 import ast
@@ -67,3 +68,27 @@ def test_no_unused_module_level_imports():
         unused += ["%s.%s" % (path.stem, u) for u in _unused_local_imports(tree)]
     assert not unused, "unused imports: %s" % ", ".join(unused)
     assert allowed == ALLOWED, "stale exceptions: %s" % (ALLOWED - allowed)
+
+
+def _package_imports_in_functions(tree: ast.Module):
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else ["."]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(n == "." or n.split(".")[0] == "schmidt_norms"
+                       for n in names):
+                    yield "%s: line %d" % (func.name, node.lineno)
+
+
+def test_no_package_imports_inside_functions():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += ["%s.%s" % (path.stem, f)
+                  for f in _package_imports_in_functions(tree)]
+    assert not found, "function-local package imports: %s" % ", ".join(found)

@@ -153,6 +153,17 @@ def test_hierarchy_with_dec_and_upper():
     assert dec.value <= max_order_norm_upper(op, 3, cfg).value + 1e-6
 
 
+def test_upper_restarts_used_counts_its_searches():
+    # every leg of the split is a vacuous-rank call at k = n: no restarts
+    cfg = _cfg(15, restarts=5)
+    est = max_order_norm_upper(fixtures.example51(3), 3, cfg)
+    assert est.restarts_used == 0 and est.iterations == 0
+    # two Hermitian parts, three searches each, five restarts per search
+    op = _random_op((2, 3), RandomConfig(seed=16).generator())
+    est = max_order_norm_upper(op, 1, cfg)
+    assert est.restarts_used == 30 and est.iterations > 0
+
+
 def test_hermitian_minorder_equals_omin():
     # on Hermitian operators every compression is Hermitian, so the
     # numerical radius equals the operator norm

@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
 
+from schmidt_norms import maps, norms
+from schmidt_norms.linalg import BipartiteOperator
 from schmidt_norms.optim import (
+    RestartOutcome,
     SeeSawConfig,
     _frame_gradient,
+    ascend,
     compress_tensor,
     frame_ascent,
     lift_from_frame,
+    projected_step,
     run_restarts,
 )
-from schmidt_norms.rand import RandomConfig, complex_gaussian, random_isometry
+from schmidt_norms.rand import (
+    RandomConfig,
+    complex_gaussian,
+    random_hermitian,
+    random_isometry,
+)
 
 
 def _rng(seed):
@@ -98,7 +108,6 @@ def test_frame_ascent_history_monotone():
 
 
 def _value_worker(idx, rng):
-    from schmidt_norms.optim import RestartOutcome
     val = float(rng.random())
     return RestartOutcome(value=val, payload=idx, history=[val], converged=True)
 
@@ -125,3 +134,53 @@ def test_seesaw_config_rejects_bad_budget():
         with pytest.raises(ValueError):
             SeeSawConfig(**bad)
     SeeSawConfig(restarts=1, max_iters=0, obj_tol=0.0)  # smallest valid budget
+
+
+def test_ascend_stops_converged_when_no_move():
+    cfg = SeeSawConfig(max_iters=10)
+    out = ascend(2.0, "start", lambda value, state: None, cfg)
+    assert out.converged is True
+    assert out.history == [2.0] and out.value == 2.0 and out.payload == "start"
+    # a direction shorter than grad_tol is "no move" too
+    step = projected_step(lambda x: (float(x @ x), None),
+                          lambda x, data: np.zeros_like(x), lambda x: x,
+                          0.5, 1e-14)
+    assert step(1.0, (np.ones(2), None)) is None
+
+
+def test_ascend_stops_converged_on_small_descent_gain():
+    cfg = SeeSawConfig(max_iters=10, obj_tol=1e-9)
+    values = iter([5.0, 5.0 - 1e-12, 1.0])
+
+    def step(value, state):
+        new = next(values)
+        return [new], new, state + 1
+
+    out = ascend(10.0, 0, step, cfg, sign=-1.0)
+    assert out.converged is True
+    assert out.history == [10.0, 5.0, 5.0 - 1e-12]
+    assert out.value == 5.0 - 1e-12 and out.payload == 2
+    # a gain equal to obj_tol is not below it: the budget runs out instead
+    out = ascend(10.0, 0, lambda value, state: ([value - 2.0], value - 2.0, state),
+                 SeeSawConfig(max_iters=3, obj_tol=2.0), sign=-1.0)
+    assert out.history == [10.0, 8.0, 6.0, 4.0] and out.converged is False
+
+
+def test_ascend_zero_budget_is_unconverged():
+    out = ascend(3.0, None, lambda value, state: ([value + 1], value + 1, state),
+                 SeeSawConfig(max_iters=0))
+    assert out.history == [3.0]
+    assert out.converged is False
+
+
+def test_searched_estimates_report_one_log_per_restart():
+    rng = RandomConfig(seed=40).generator()
+    op = BipartiteOperator((3, 3), complex_gaussian(rng, (9, 9)))
+    phi = maps.MapRepr.from_choi(BipartiteOperator((2, 3), random_hermitian(6, rng)))
+    cfg = SeeSawConfig(restarts=3, max_iters=25, rng=RandomConfig(seed=41))
+    estimates = [norms.sk_norm(op, 2, cfg), norms.omin_norm(op, 1, cfg),
+                 norms.min_order_norm(op, 2, cfg), maps.idk_op_norm(phi, 2, cfg),
+                 maps.hermitian_trace_norm(phi, 2, cfg)]
+    for est in estimates:
+        assert est.restarts_used == len(est.history) == cfg.restarts
+        assert est.iterations == sum(len(h) - 1 for h in est.history)
