@@ -57,6 +57,8 @@ def swap_operator(n: int) -> BipartiteOperator:
 def isotropic(f: float, n: int) -> BipartiteOperator:
     """F |phi><phi| + (1-F)(I - |phi><phi|)/(n^2 - 1); Schmidt number
     exceeds k iff F > (kn - 1)/(n^2 - 1) ... > k/n for the witness family."""
+    if n < 2:
+        raise ValueError("isotropic state needs n >= 2, got %d" % n)
     if not 0.0 <= f <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
     phi = maximally_entangled(n).amplitudes

@@ -392,6 +392,8 @@ def sn_contraction_test(rho: BipartiteOperator, phi: MapRepr, k: int,
     """
     cfg = cfg or SeeSawConfig()
     _check_state(rho)
+    if norm_bound is not None and not 0.0 <= norm_bound < np.inf:  # also NaN
+        raise ValueError("norm_bound must be finite and >= 0, got %r" % norm_bound)
     if rho.n != phi.in_dim:
         raise ValueError("map input dim %d does not match state second factor %d"
                          % (phi.in_dim, rho.n))

@@ -15,7 +15,7 @@ Norms implemented here:
 * ``min_order_norm`` -- same with the numerical radius of the compression,
                         i.e. sup |<v|X|v>| over Schmidt rank <= k; Hermitian
                         X is solved exactly by one eigh per evaluation.
-* ``max_order_norm_upper`` -- Hermitian-split upper bound.
+* ``max_order_norm_upper`` -- proved Hermitian-split bound in closed form.
 * ``dec_norm_value`` -- value of a supplied block-positive decomposition.
 * ``maxk_space_norm_bounds`` -- two-sided bounds for the k-maximal norm in
                         closed form with no search: k-row bands above, the
@@ -88,8 +88,8 @@ class NormEstimate:
 
     Closed forms report the zero-work defaults.  Searches report through
     ``optim.search_metadata``: ``restarts_used`` restarts ran, ``history``
-    holds one nondecreasing log per restart, ``iterations`` sums
-    len(h) - 1 over them.  ``max_order_norm_upper`` sums over its searches.
+    holds one nondecreasing log per restart with one value per step,
+    ``iterations`` sums len(h) - 1 over them.
     """
 
     value: float
@@ -113,15 +113,14 @@ class NormEstimate:
 def _sk_step(xm: np.ndarray, m: int, n: int, k: int):
     """One see-saw step for :func:`optim.ascend` over states (v, w): both
     half-steps, each the renormalized Schmidt truncation of X w (then of
-    X^dagger v), logged one value each; None when a truncation vanishes."""
+    X^dagger v), logging the full-step value; None if a truncation vanishes."""
     def truncate(z: np.ndarray):
         t = _truncate_vec(z, m, n, k).reshape(-1)
         nt = np.linalg.norm(t)
         return None if nt < 1e-300 else t / nt
 
     def step(_value: float, state):
-        u = xm @ state[1]
-        v = truncate(u)
+        v = truncate(xm @ state[1])
         if v is None:
             return None
         y = xm.conj().T @ v
@@ -129,7 +128,7 @@ def _sk_step(xm: np.ndarray, m: int, n: int, k: int):
         if w is None:
             return None
         val = float(np.real(w.conj() @ y))
-        return [float(np.real(v.conj() @ u)), val], val, (v, w)
+        return [val], val, (v, w)
 
     return step
 
@@ -243,66 +242,63 @@ def min_order_norm(X: BipartiteOperator, k: int,
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_radius(h: BipartiteOperator, k: int, cfg: SeeSawConfig):
+def _hermitian_radius(h: BipartiteOperator, k: int, cfg: SeeSawConfig) -> float:
     """Best lower bound on sup |<v|h|v>| over SR-<=k unit vectors for a
-    Hermitian operator: the max of the `min_order_norm` ascent, which follows
-    whichever eigenvalue side wins, and both one-sided eigen descents (same
-    frame machinery and start frames, one side each).
-
-    The `min_order_norm` leg is not redundant: on the 200 Hermitian parts of
-    criterion 5 (5 restarts, config seed 502) it beat both descents once, on
-    H2 of instance 24 at k = 1 (2.51535 against 2.29279), and dropping it
-    would lower that instance's `dec` and `upper` by 0.22.
-
-    Returns (value, restarts, iterations, converged of the first leg)."""
-    est = min_order_norm(h, k, cfg)
-    lo = k_block_positivity(h, k, cfg)
-    hi = k_block_positivity(BipartiteOperator(h.dims, -h.mat), k, cfg)
-    value = max(est.value, -lo.min_value, -hi.min_value)
-    searches = (est, lo, hi)
-    return (value, sum(s.restarts_used for s in searches),
-            sum(s.iterations for s in searches), est.converged)
+    Hermitian operator: the max of the `min_order_norm` ascent and both
+    one-sided eigen descents.  The first leg is not redundant: on criterion 5
+    (5 restarts, config seed 502) it beat both descents on H2 of instance 24
+    at k = 1 (2.51535 against 2.29279)."""
+    neg = BipartiteOperator(h.dims, -h.mat)
+    return max(min_order_norm(h, k, cfg).value,
+               -k_block_positivity(h, k, cfg).min_value,
+               -k_block_positivity(neg, k, cfg).min_value)
 
 
-def _hermitian_parts(X: BipartiteOperator, k: int, cfg: SeeSawConfig):
-    """Split X = H1 + i H2 into Hermitian parts and estimate the order norm
-    of each: [(c, H, _hermitian_radius(H))] with c = 1 for H1 and
-    c = i for H2.  A part whose entries are all within HERM_TOL is skipped;
-    if both are (X ~ 0), H1 alone is kept."""
-    h1 = (X.mat + X.mat.conj().T) / 2.0
-    h2 = (X.mat - X.mat.conj().T) / 2.0j
-    split = [(c, h) for c, h in ((1.0 + 0.0j, h1), (1.0j, h2))
-             if np.max(np.abs(h)) > HERM_TOL] or [(1.0 + 0.0j, h1)]
-    return [(c, h, _hermitian_radius(BipartiteOperator(X.dims, h), k, cfg))
-            for c, h in split]
+def _hermitian_split(X: BipartiteOperator):
+    """(H1, H2), both Hermitian, with X = H1 + i H2."""
+    return (X.mat + X.mat.conj().T) / 2.0, (X.mat - X.mat.conj().T) / 2.0j
+
+
+def _partial_transpose(mat: np.ndarray, dims) -> np.ndarray:
+    """The transpose on the second factor M_n of an mn x mn matrix."""
+    m, n = dims
+    return mat.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(m * n, m * n)
 
 
 def max_order_norm_upper(X: BipartiteOperator, k: int,
                          cfg: SeeSawConfig | None = None) -> NormEstimate:
-    """Upper bound from the split X = H1 + i H2: the sum of the order norms
-    of the Hermitian parts (each exact on Hermitians up to search quality).
-    Single-term for (anti-)Hermitian X.  ``history`` stays empty: the value
-    is no single search's objective."""
-    cfg = cfg or SeeSawConfig()
+    """Proved upper bound with no search (``cfg`` is not read): the sum over
+    the Hermitian parts H of X = H1 + i H2 of min(||H||, k ||H^Gamma||).
+
+    For a unit v of Schmidt rank <= k, |<v|X|v>| <= sum_H |<v|H|v>|, with
+    |<v|H|v>| <= ||H||, and, as Tr(AB) = Tr(A^Gamma B^Gamma),
+    |<v|H|v>| <= ||H^Gamma|| ||(|v><v|)^Gamma||_tr <= k ||H^Gamma||
+    (Vidal & Werner, PRA 65, 032314, 2002).  So each term bounds the exact
+    radius r_H, and the sum bounds r_H1 + r_H2, the value of the canonical
+    decomposition into the k-block-positive parts r_H I +- H."""
     _check_k(X, k)
-    radii = [r for _, _, r in _hermitian_parts(X, k, cfg)]
-    return NormEstimate(value=sum(r[0] for r in radii), direction="upper",
-                        witness=None, restarts_used=sum(r[1] for r in radii),
-                        iterations=sum(r[2] for r in radii),
-                        converged=all(r[3] for r in radii))
+    value = sum(min(operator_norm(h),
+                    k * operator_norm(_partial_transpose(h, X.dims)))
+                for h in _hermitian_split(X))
+    return NormEstimate(value=value, direction="upper", witness=None)
 
 
 def block_positive_decomposition(X: BipartiteOperator, k: int,
                                  cfg: SeeSawConfig | None = None):
-    """Canonical decomposition of X into k-block-positive parts by shifting
-    each Hermitian part with (order norm + 1e-8) times the identity.
+    """Canonical decomposition of X into k-block-positive parts t I +- H for
+    each Hermitian part H of X = H1 + i H2, t = `_hermitian_radius` + 1e-8;
+    parts within HERM_TOL of zero are skipped (H1 is kept if both are).
     Returns [(lambda_i, P_i)] with sum lambda_i P_i = X exactly."""
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
     eye = np.eye(X.mat.shape[0], dtype=complex)
+    h1, h2 = _hermitian_split(X)
+    split = [(c, h) for c, h in ((1.0 + 0.0j, h1), (1.0j, h2))
+             if np.max(np.abs(h)) > HERM_TOL] or [(1.0 + 0.0j, h1)]
     parts = []
-    for c, h, (value, *_) in _hermitian_parts(X, k, cfg):
-        lam, t = c / 2, value + 1e-8
+    for c, h in split:
+        lam = c / 2
+        t = _hermitian_radius(BipartiteOperator(X.dims, h), k, cfg) + 1e-8
         parts.append((lam, BipartiteOperator(X.dims, t * eye + h)))
         parts.append((-lam, BipartiteOperator(X.dims, t * eye - h)))
     return parts
@@ -384,7 +380,6 @@ def maxk_space_norm_bounds(X: BipartiteOperator, k: int):
     upper = NormEstimate(value=upper_val, direction="upper", witness=None)
 
     # lower: the identity and the rescaled transpose
-    x_gamma = blocks.transpose(0, 3, 2, 1).reshape(m * n, m * n)
-    lower_val = max(base, operator_norm(x_gamma) / min(k, n))
+    lower_val = max(base, operator_norm(_partial_transpose(X.mat, X.dims)) / min(k, n))
     lower = NormEstimate(value=lower_val, direction="lower", witness=None)
     return lower, upper

@@ -42,8 +42,8 @@ class OracleConfig:
     pool: int = 512
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if self.samples < 1 or self.pool < 1 or self.polish_steps < 0:
+            raise ValueError("need samples >= 1, pool >= 1 and polish_steps >= 0")
 
 
 def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:

@@ -193,6 +193,24 @@ def test_bad_budget_exit_1(workdir, capsys, variant, flags):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--polish-steps", "-5"]],
+                         ids=["samples0", "polish-steps-5"])
+def test_oracle_bad_budget_exit_1(workdir, capsys, flags):
+    code, report, err = _run(capsys, [
+        "oracle", "sk", str(workdir / "ex51.json"), "--k", "1"] + flags)
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: ")
+
+
+def test_fixture_emit_isotropic_n1_exit_1(capsys):
+    code = main(["fixtures", "emit", "isotropic", "--n", "1", "--fidelity", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_maxspace_reports_only_k(workdir, capsys):
     # closed-form bounds: the budget flags are validated but shape nothing
     code, report, _ = _run(capsys, [

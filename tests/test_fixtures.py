@@ -36,6 +36,13 @@ def test_isotropic_is_state():
         fixtures.isotropic(1.5, 3)
 
 
+def test_isotropic_needs_n_at_least_2():
+    # at n = 1 the normalization n^2 - 1 is zero
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="n >= 2"):
+            fixtures.isotropic(0.5, n)
+
+
 def test_basis_product_ensemble_is_maximally_mixed():
     ens = fixtures.basis_product_ensemble(2, 3)
     assert ens.k == 1

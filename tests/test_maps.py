@@ -242,6 +242,15 @@ def test_contraction_test_precondition_enforced():
     assert res.detected
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), -5.0])
+def test_contraction_test_rejects_bad_norm_bound(bound):
+    # such a bound used to skip the precondition: the transpose, which fails
+    # it at k = 2, then reported a detection
+    det = detection_map(transpose_map(3), _cfg(32, restarts=2))
+    with pytest.raises(ValueError, match="norm_bound"):
+        sn_contraction_test(fixtures.isotropic(0.9, 3), det, 2, norm_bound=bound)
+
+
 def test_stabilization_sample():
     # SR-k-bounded inputs at a larger ancilla never beat the k-level value
     rng = RandomConfig(seed=33).generator()

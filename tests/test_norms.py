@@ -23,6 +23,7 @@ from schmidt_norms.norms import (
     omin_norm,
     sk_norm,
 )
+from schmidt_norms.oracle import OracleConfig, brute_min_order
 from schmidt_norms.rand import RandomConfig, complex_gaussian, random_unitary
 
 
@@ -91,6 +92,15 @@ def test_sk_history_nondecreasing():
         assert np.all(np.diff(np.asarray(hist)) >= 0)
 
 
+def test_sk_history_logs_one_value_per_step():
+    # iterations counts see-saw steps, as for every other estimator
+    op = _random_op((3, 3), RandomConfig(seed=7).generator())
+    for max_iters in (1, 3, 10):
+        est = sk_norm(op, 1, _cfg(8, max_iters=max_iters))
+        assert all(len(h) <= max_iters + 1 for h in est.history)
+        assert est.iterations <= max_iters * est.restarts_used
+
+
 def test_sk_witness_attains_value():
     rng = RandomConfig(seed=9).generator()
     op = _random_op((3, 3), rng)
@@ -153,15 +163,60 @@ def test_hierarchy_with_dec_and_upper():
     assert dec.value <= max_order_norm_upper(op, 3, cfg).value + 1e-6
 
 
-def test_upper_restarts_used_counts_its_searches():
-    # every leg of the split is a vacuous-rank call at k = n: no restarts
-    cfg = _cfg(15, restarts=5)
-    est = max_order_norm_upper(fixtures.example51(3), 3, cfg)
-    assert est.restarts_used == 0 and est.iterations == 0
-    # two Hermitian parts, three searches each, five restarts per search
+def _partial_transpose(mat, dims):
+    m, n = dims
+    return np.einsum("iajb->ibja", mat.reshape(m, n, m, n)).reshape(m * n, m * n)
+
+
+def test_upper_is_closed_form_with_no_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search called")
+
+    monkeypatch.setattr(norms, "min_order_norm", forbidden)
+    monkeypatch.setattr(norms, "k_block_positivity", forbidden)
     op = _random_op((2, 3), RandomConfig(seed=16).generator())
-    est = max_order_norm_upper(op, 1, cfg)
-    assert est.restarts_used == 30 and est.iterations > 0
+    h1 = (op.mat + op.mat.conj().T) / 2
+    h2 = (op.mat - op.mat.conj().T) / 2j
+    for k in (1, 2):
+        est = max_order_norm_upper(op, k, _cfg(15, restarts=5))
+        assert est.direction == "upper" and est.witness is None
+        assert est.restarts_used == 0 and est.iterations == 0
+        assert est.converged and est.history == []
+        closed = sum(min(operator_norm(h),
+                         k * operator_norm(_partial_transpose(h, (2, 3))))
+                     for h in (h1, h2))
+        assert est.value == pytest.approx(closed, abs=1e-12)
+
+
+def test_upper_attains_k_over_n_on_entangled_projector():
+    # ||P|| = 1 but P^Gamma = SWAP / 3, so k ||P^Gamma|| = k/3 is the exact
+    # order norm: dropping the factor k or the partial transpose breaks it
+    phi = fixtures.maximally_entangled(3).amplitudes
+    proj = BipartiteOperator((3, 3), np.outer(phi, phi.conj()))
+    for k in (1, 2, 3):
+        assert max_order_norm_upper(proj, k).value == pytest.approx(k / 3, abs=1e-12)
+        mo = min_order_norm(proj, k, _cfg(45, restarts=4)).value
+        assert mo == pytest.approx(k / 3, abs=1e-12)
+
+
+def test_upper_bounds_brute_force_and_dec():
+    rng = RandomConfig(seed=46).generator()
+    ocfg = OracleConfig(samples=2000, polish_steps=60, rng=RandomConfig(seed=47))
+    cfg = _cfg(48, restarts=3, max_iters=60)
+    for dims in ((2, 2), (2, 3), (3, 3), (3, 4)):
+        op = _random_op(dims, rng)
+        for k in range(1, min(dims) + 1):
+            upper = max_order_norm_upper(op, k).value
+            assert upper >= brute_min_order(op, k, ocfg)
+            parts = block_positive_decomposition(op, k, cfg)
+            assert upper >= dec_norm_value(op, parts, k, cfg).value - 1e-6
+
+
+def test_upper_covers_example51_order_norm():
+    # the proved order norm of criterion 1 is min(k/3, 1/2)
+    for k in (1, 2, 3):
+        upper = max_order_norm_upper(fixtures.example51(3), k).value
+        assert upper >= min(k / 3, 0.5)
 
 
 def test_hermitian_minorder_equals_omin():
@@ -278,8 +333,7 @@ def test_maxk_space_bounds_sandwich():
             assert upper.direction == "upper"
             base = operator_norm(op.mat)
             assert base - 1e-12 <= lower.value <= upper.value + 1e-12
-            d = dims[0] * dims[1]
-            x_gamma = op.blocks().transpose(0, 3, 2, 1).reshape(d, d)
+            x_gamma = _partial_transpose(op.mat, dims)
             closed = max(base, operator_norm(x_gamma) / min(k, dims[1]))
             assert lower.value == pytest.approx(closed, abs=1e-12)
             for est in (lower, upper):

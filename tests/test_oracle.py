@@ -107,5 +107,7 @@ def test_oracle_reproducibility():
 
 
 def test_oracle_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(samples=0)
+    for bad in (dict(samples=0), dict(polish_steps=-5), dict(pool=0)):
+        with pytest.raises(ValueError):
+            OracleConfig(**bad)
+    OracleConfig(polish_steps=0, pool=1)
