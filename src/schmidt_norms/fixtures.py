@@ -23,7 +23,9 @@ def maximally_entangled(n: int) -> PureState:
 
 
 def shifted_entangled(n: int) -> PureState:
-    """sum_i |i, i+1 mod n> / sqrt(n); orthogonal to maximally_entangled(n)."""
+    """sum_i |i, i+1 mod n> / sqrt(n), n >= 2; orthogonal to maximally_entangled(n)."""
+    if n < 2:
+        raise ValueError("shifted entangled vector needs n >= 2, got %d" % n)
     v = np.zeros((n, n), dtype=complex)
     for i in range(n):
         v[i, (i + 1) % n] = 1.0
@@ -39,9 +41,9 @@ def example51(n: int) -> BipartiteOperator:
       |<phi|v>| and |<psi|v>| are each at most sqrt(k/n) for a unit v of
       Schmidt rank <= k and their squares sum to at most 1; the bound is
       attained at n = 3 (1/3, 1/2, 1/2 for k = 1, 2, 3);
-    * ``omin_norm`` and ``sk_norm`` both equal k/n."""
-    phi = maximally_entangled(n).amplitudes
+    * ``omin_norm`` and ``sk_norm`` both equal k/n.  Needs n >= 2."""
     psi = shifted_entangled(n).amplitudes
+    phi = maximally_entangled(n).amplitudes
     return BipartiteOperator((n, n), np.outer(phi, psi.conj()))
 
 

@@ -229,7 +229,7 @@ def min_order_norm(X: BipartiteOperator, k: int,
 
     Hermitian X has Hermitian compressions, whose numerical radius is
     max(lambda_max, -lambda_min): one eigh per evaluation solves it exactly.
-    Other X use a 32-point angle grid with golden-section refinement to 1e-8.
+    Other X use a 32-point angle grid refined by Newton steps to 1e-8.
     """
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)

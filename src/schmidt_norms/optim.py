@@ -152,10 +152,10 @@ def compress_tensor(t4: np.ndarray, v: np.ndarray) -> np.ndarray:
     Output is the mk x mk matrix whose (r,s) block in M_m has entries
     <b_r| X_ij |b_s>, flat index r*m + i.
     """
-    m = t4.shape[0]
-    k = v.shape[1]
-    t1 = np.tensordot(t4, v, axes=([3], [0]))          # (i, a, j, s)
-    t2 = np.tensordot(v.conj(), t1, axes=([0], [1]))   # (r, i, j, s)
+    (m, n), k = t4.shape[:2], v.shape[1]
+    t1 = np.dot(t4.reshape(m * n * m, n), v).reshape(m, n, m, k)       # (i, a, j, s)
+    t2 = np.dot(v.conj().T, t1.transpose(1, 0, 2, 3).reshape(n, m * m * k))
+    t2 = t2.reshape(k, m, m, k)                                        # (r, i, j, s)
     return np.ascontiguousarray(t2.transpose(0, 1, 3, 2)).reshape(m * k, m * k)
 
 
@@ -167,26 +167,33 @@ def lift_from_frame(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     return np.einsum("ri,ar->ia", u.reshape(k, m), v).reshape(-1)
 
 
-def _frame_gradient(t4: np.ndarray, v: np.ndarray, terms) -> np.ndarray:
+def _gradient_layouts(t4: np.ndarray):
+    """The two matrix layouts of t4 that :func:`_frame_gradient` multiplies."""
+    m, n = t4.shape[:2]
+    return (t4.transpose(0, 1, 3, 2).reshape(m * n, n * m),
+            t4.transpose(1, 0, 2, 3).reshape(n * m, m * n))
+
+
+def _frame_gradient(layouts, v: np.ndarray, terms) -> np.ndarray:
     """Ascent direction for the compression objective with respect to the
-    conjugate frame entries.
+    conjugate frame entries; ``layouts`` is ``_gradient_layouts(t4)``.
 
     ``terms`` is a list of (coef, u, w) with the differential of the
     objective equal to sum_t Re(coef * u^† dC w); the derivative through the
     attaining vectors vanishes at the optimizer of the inner problem.
     """
-    m = t4.shape[0]
-    k = v.shape[1]
+    (t4_iabj, t4_aijb), (n, k) = layouts, v.shape
+    m = t4_iabj.shape[0] // n
     g = np.zeros_like(v)
     for coef, u, w in terms:
         ur = u.reshape(k, m)
         wr = w.reshape(k, m)
-        q = v @ wr                                        # (b, j)
-        s1 = np.tensordot(t4, q, axes=([3, 2], [0, 1]))   # (i, a)
-        m1 = (ur.conj() @ s1).T                           # (a, r)
-        p = v.conj() @ ur.conj()                          # (a, i)
-        s2 = np.tensordot(p, t4, axes=([0, 1], [1, 0]))   # (j, b)
-        m2 = (wr @ s2).T                                  # (b, s)
+        q = v @ wr                                                # (b, j)
+        s1 = np.dot(t4_iabj, q.reshape(n * m, 1)).reshape(m, n)   # (i, a)
+        m1 = (ur.conj() @ s1).T                                   # (a, r)
+        p = v.conj() @ ur.conj()                                  # (a, i)
+        s2 = np.dot(p.reshape(1, n * m), t4_aijb).reshape(m, n)   # (j, b)
+        m2 = (wr @ s2).T                                          # (b, s)
         g = g + coef * m1 + np.conj(coef) * m2.conj()
     return g
 
@@ -200,12 +207,13 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
     RestartOutcome whose payload is (V, value-attaining terms).
     """
     sign = 1.0 if maximize else -1.0
+    layouts = _gradient_layouts(t4)
 
     def evaluate(v):
         return objective(compress_tensor(t4, v))
 
     def direction(v, terms):
-        g = sign * _frame_gradient(t4, v, terms)
+        g = sign * _frame_gradient(layouts, v, terms)
         # project onto the tangent space of the Stiefel manifold
         a = v.conj().T @ g
         return g - v @ ((a + a.conj().T) / 2.0)

@@ -211,6 +211,14 @@ def test_fixture_emit_isotropic_n1_exit_1(capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_fixture_emit_example51_n1_exit_1(capsys):
+    code = main(["fixtures", "emit", "example51", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_maxspace_reports_only_k(workdir, capsys):
     # closed-form bounds: the budget flags are validated but shape nothing
     code, report, _ = _run(capsys, [

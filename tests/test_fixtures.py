@@ -43,6 +43,15 @@ def test_isotropic_needs_n_at_least_2():
             fixtures.isotropic(0.5, n)
 
 
+def test_example51_needs_n_at_least_2():
+    # at n = 1 the shifted vector equals the maximally entangled one
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="n >= 2"):
+            fixtures.shifted_entangled(n)
+        with pytest.raises(ValueError, match="n >= 2"):
+            fixtures.example51(n)
+
+
 def test_basis_product_ensemble_is_maximally_mixed():
     ens = fixtures.basis_product_ensemble(2, 3)
     assert ens.k == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from schmidt_norms.linalg import (
     BipartiteOperator,
     Frame,
     PureState,
+    _numerical_radius_attain,
     dagger,
     is_hermitian,
     min_eig_hermitian,
@@ -18,6 +21,7 @@ from schmidt_norms.linalg import (
 )
 from schmidt_norms.rand import (
     RandomConfig,
+    complex_gaussian,
     random_sr_k_vector,
     random_unit_vector,
     random_unitary,
@@ -106,6 +110,84 @@ def test_numerical_radius_bounds_operator_norm():
         w = numerical_radius(x)
         nrm = operator_norm(x)
         assert nrm / 2 - 1e-9 <= w <= nrm + 1e-9
+
+
+def test_numerical_radius_rejects_bad_theta_tol():
+    x = np.array([[1.0, 2.0], [0.0, 1.0]])
+    for tol in (0.0, -1e-8, np.inf, np.nan):
+        for fn in (numerical_radius, _numerical_radius_attain):
+            with pytest.raises(ValueError, match="theta_tol"):
+                fn(x, 64, tol)
+
+
+def test_numerical_radius_rejects_bad_grid_points():
+    x = np.array([[1.0, 2.0], [0.0, 1.0]])
+    for grid in (0, -3):
+        for fn in (numerical_radius, _numerical_radius_attain):
+            with pytest.raises(ValueError, match="grid_points"):
+                fn(x, grid, 1e-8)
+
+
+def test_numerical_radius_rejects_non_finite_input():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        x = np.array([[1.0, 2.0], [0.0, bad]], dtype=complex)
+        for fn in (numerical_radius, _numerical_radius_attain):
+            with pytest.raises(ValueError, match="finite"):
+                fn(x, 8, 1e-8)
+
+
+def test_numerical_radius_matches_dense_reference():
+    # reference: a 4096-angle scan refined the same way; its plain scan
+    # maximum is a brute-force lower bound that the refinement must reach
+    rng = _rng(40)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    for trial in range(32):
+        d = 2 + trial % 8
+        x = complex_gaussian(rng, (d, d))
+        ref = _numerical_radius_attain(x, 4096, 1e-12)[0]
+        phases = np.exp(1j * thetas)[:, None, None]
+        scan = np.linalg.eigvalsh((phases * x + phases.conj() * x.conj().T) / 2.0)
+        assert ref >= np.max(scan[:, -1]) - 1e-12
+        assert abs(numerical_radius(x) - ref) <= 1e-10
+
+
+def test_numerical_radius_attainer():
+    # the value is lambda_max(Re(e^{i theta} x)) and |<v|x|v>| at the
+    # returned angle and unit vector, for the objective's 32-point, 1e-8 setting too
+    rng = _rng(41)
+    for trial in range(60):
+        d = 2 + trial % 8
+        x = complex_gaussian(rng, (d, d))
+        for grid, tol in ((64, 1e-12), (32, 1e-8)):
+            val, theta, vec = _numerical_radius_attain(x, grid, tol)
+            h = (np.exp(1j * theta) * x + np.exp(-1j * theta) * x.conj().T) / 2.0
+            assert abs(val - np.linalg.eigvalsh(h)[-1]) <= 1e-12
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+            assert abs(abs(vec.conj() @ x @ vec) - val) <= 1e-12
+
+
+def test_numerical_radius_degenerate_inputs():
+    rng = _rng(42)
+    u = random_unitary(4, rng)
+    eigs = np.array([1.0, -2.5j, 1.5 + 1.5j, 0.3])
+    a = complex_gaussian(rng, (3, 3))
+    cases = [
+        (np.diag([1.0, -2.0, 0.5]), 2.0),
+        (np.diag([1.0, 2.0j, -1.5]), 2.0),
+        (u @ np.diag(eigs) @ u.conj().T, np.max(np.abs(eigs))),   # normal
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5),                # Jordan block
+        (np.zeros((3, 3)), 0.0),
+        (np.array([[3.0 - 4.0j]]), 5.0),                           # 1 x 1
+        (2.0j * np.eye(3), 2.0),                                   # all repeated
+        (np.kron(np.eye(2), a), numerical_radius(a)),              # repeated top
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, want in cases:
+            val, theta, vec = _numerical_radius_attain(x, 64, 1e-12)
+            assert val == pytest.approx(want, abs=1e-10)
+            assert abs(abs(vec.conj() @ x @ vec) - val) <= 1e-10
+            assert numerical_radius(x, 32, 1e-8) == pytest.approx(want, abs=1e-10)
 
 
 def test_schmidt_decompose_reconstructs():

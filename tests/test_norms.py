@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schmidt_norms import fixtures, norms
+from schmidt_norms import fixtures, norms, optim
 from schmidt_norms.cones import k_block_positivity
 from schmidt_norms.linalg import (
     BipartiteOperator,
@@ -286,9 +286,9 @@ def test_hermitian_minorder_full_k_is_spectral_radius():
 
 def test_hermitian_routes_skip_numerical_radius(monkeypatch):
     # the three routes that solve only Hermitian parts, and min_order_norm on
-    # Hermitian input, must not reach the golden-section angle search
+    # Hermitian input, must not reach the angle search of the numerical radius
     def forbidden(*args, **kwargs):
-        raise AssertionError("golden-section numerical radius called")
+        raise AssertionError("angle-search numerical radius called")
 
     monkeypatch.setattr(norms, "_numerical_radius_attain", forbidden)
     rng = RandomConfig(seed=43).generator()
@@ -300,8 +300,40 @@ def test_hermitian_routes_skip_numerical_radius(monkeypatch):
         parts = block_positive_decomposition(x, 1, cfg)
         assert dec_norm_value(x, parts, 1, cfg).value > 0
         assert max_order_norm_upper(x, 1, cfg).value > 0
-    with pytest.raises(AssertionError, match="golden-section"):
+    with pytest.raises(AssertionError, match="angle-search"):
         min_order_norm(op, 1, cfg)
+
+
+def _eigh_per_evaluation(monkeypatch, search):
+    """eigh calls over compress_tensor calls while ``search()`` runs."""
+    counts = {"eigh": 0, "compress": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(optim, "compress_tensor",
+                        counted("compress", optim.compress_tensor))
+    search()
+    monkeypatch.undo()
+    assert counts["compress"] > 0
+    return counts["eigh"] / counts["compress"]
+
+
+def test_lapack_calls_per_frame_evaluation(monkeypatch):
+    # the LAPACK cost of one frame-ascent evaluation, counted, not timed:
+    # the Newton inner solve of a non-Hermitian radius takes a few eigh
+    # calls, the Hermitian route and k-block positivity exactly one
+    rng = RandomConfig(seed=45).generator()
+    op = _random_op((2, 3), rng)
+    herm = _random_hermitian((2, 3), rng)
+    cfg = _cfg(46, restarts=2, max_iters=60)
+    assert _eigh_per_evaluation(monkeypatch, lambda: min_order_norm(op, 1, cfg)) <= 12
+    assert _eigh_per_evaluation(monkeypatch, lambda: min_order_norm(herm, 1, cfg)) == 1
+    assert _eigh_per_evaluation(monkeypatch, lambda: k_block_positivity(herm, 1, cfg)) == 1
 
 
 def test_block_positive_decomposition_reconstructs():
