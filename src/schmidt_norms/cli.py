@@ -273,14 +273,26 @@ def _recheck_kpeb(report: dict, args):
     return value, report["result"]["pairing"], {"map": _digest(args.map)}
 
 
+def _report_param(params: dict, name: str, kinds=int):
+    """``params[name]`` if it is an instance of ``kinds`` and not a bool;
+    otherwise an input error (exit 1)."""
+    value = params[name]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise _CliError("report parameter %r must be %s, got %r" % (
+            name, "an integer" if kinds is int else "a number", value))
+    return value
+
+
 def _recheck_detect(report: dict, args):
     if args.map is None or args.state is None:
         raise _CliError("recheck of 'map detect' needs --map and --state")
     psi = load_map(read_json(args.map))
     rho = load_bipartite(read_json(args.state))
     p = report["parameters"]
-    cfg = SeeSawConfig(restarts=p["restarts"], max_iters=p["max_iters"],
-                       obj_tol=p["tol"], rng=RandomConfig(seed=p["seed"]))
+    cfg = SeeSawConfig(restarts=_report_param(p, "restarts"),
+                       max_iters=_report_param(p, "max_iters"),
+                       obj_tol=_report_param(p, "tol", (int, float)),
+                       rng=RandomConfig(seed=_report_param(p, "seed")))
     det = detection_map(psi, cfg)
     value = trace_norm(idk_apply(det, rho.mat, rho.m))
     inputs = {"map": _digest(args.map), "state": _digest(args.state)}

@@ -57,8 +57,12 @@ def swap_operator(n: int) -> BipartiteOperator:
 
 
 def isotropic(f: float, n: int) -> BipartiteOperator:
-    """F |phi><phi| + (1-F)(I - |phi><phi|)/(n^2 - 1); Schmidt number
-    exceeds k iff F > (kn - 1)/(n^2 - 1) ... > k/n for the witness family."""
+    """F |phi><phi| + (1-F)(I - |phi><phi|)/(n^2 - 1) with fidelity F; its
+    Schmidt number exceeds k iff F > k/n (Terhal & Horodecki, PRA 61, 040301,
+    2000).  At k = 1 that is the partial-transpose test: the smallest
+    eigenvalue of rho^Gamma is (1 - nF)/(n(n - 1)) for F >= 1/n^2.  (In the
+    weight p of p|phi><phi| + (1-p)I/n^2 the threshold reads
+    p > (kn - 1)/(n^2 - 1).)"""
     if n < 2:
         raise ValueError("isotropic state needs n >= 2, got %d" % n)
     if not 0.0 <= f <= 1.0:

@@ -285,6 +285,25 @@ def test_map_and_certificate_result_keys(workdir, capsys):
         == (0, certificate | {"witness_operator"})
 
 
+@pytest.mark.parametrize("field, bad", [("seed", "abc"), ("seed", 1.5),
+                                        ("restarts", "2")])
+def test_recheck_detect_rejects_malformed_parameters(workdir, capsys, field, bad):
+    code, report, _ = _run(capsys, [
+        "map", "detect", "--state", str(workdir / "iso9.json"),
+        "--map", str(workdir / "red3.json"), "--k", "2", "--seed", "2",
+        "--restarts", "2"])
+    assert code == 2
+    report["parameters"][field] = bad
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    code, recheck, err = _run(capsys, [
+        "oracle", "recheck", "--report", str(rp),
+        "--map", str(workdir / "red3.json"), "--state", str(workdir / "iso9.json")])
+    assert code == 1
+    assert recheck is None
+    assert err.startswith("error:") and repr(field) in err
+
+
 @pytest.mark.parametrize("corrupt", ["length", "nan"])
 def test_recheck_rejects_malformed_witness_vector(workdir, capsys, corrupt):
     code, report, _ = _run(capsys, [

@@ -36,6 +36,19 @@ def test_isotropic_is_state():
         fixtures.isotropic(1.5, 3)
 
 
+def test_isotropic_partial_transpose_spectrum():
+    # rho_F^Gamma = F S/n + (1 - F)(I - S/n)/(n^2 - 1) with S = SWAP: it is
+    # (1 - nF)/(n(n - 1)) on the antisymmetric subspace and (1 + nF)/(n(n + 1))
+    # on the symmetric one, so it is PSD exactly when F <= 1/n
+    for n in (2, 3, 4):
+        for f in (0.0, 1 / n - 0.01, 1 / n + 0.01, 0.9, 1.0):
+            rho = fixtures.isotropic(f, n).mat.reshape(n, n, n, n)
+            gamma = rho.transpose(0, 3, 2, 1).reshape(n * n, n * n)
+            want = min((1 - n * f) / (n * (n - 1)), (1 + n * f) / (n * (n + 1)))
+            assert np.linalg.eigvalsh(gamma)[0] == pytest.approx(want, abs=1e-12)
+            assert (want < 0) == (f > 1 / n)
+
+
 def test_isotropic_needs_n_at_least_2():
     # at n = 1 the normalization n^2 - 1 is zero
     for n in (1, 0):

@@ -336,6 +336,49 @@ def test_lapack_calls_per_frame_evaluation(monkeypatch):
     assert _eigh_per_evaluation(monkeypatch, lambda: k_block_positivity(herm, 1, cfg)) == 1
 
 
+def test_lapack_qr_once_per_restart(monkeypatch):
+    # counted, not timed: the frame ascent retracts its trial steps without
+    # LAPACK, so QR runs once per restart, for the Haar start frame
+    rng = RandomConfig(seed=47).generator()
+    op = _random_op((3, 3), rng)
+    cfg = _cfg(48, restarts=3, max_iters=60)
+    shapes = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    est = omin_norm(op, 2, cfg)
+    monkeypatch.undo()
+    assert est.restarts_used == 3 and est.iterations > 3
+    assert shapes == [(3, 2)] * 3
+
+
+def test_frame_searches_bit_identical_in_process():
+    # equal seed, equal result to the bit: values, witnesses, frames and
+    # logs of the k = 2 frame searches on (3,3)
+    rng = RandomConfig(seed=49).generator()
+    op = _random_op((3, 3), rng)
+    herm = _random_hermitian((3, 3), rng)
+    cfg = _cfg(50, restarts=3, max_iters=60)
+
+    def norm_bits(est):
+        return (est.value, est.iterations, est.history,
+                est.witness.frame.vectors.tobytes(),
+                [s.amplitudes.tobytes() for s in est.witness.vectors])
+
+    def verdict_bits(ver):
+        return (ver.status, ver.min_value, ver.iterations,
+                ver.frame.vectors.tobytes(), ver.witness_vector.amplitudes.tobytes())
+
+    for bits, search in ((norm_bits, lambda: omin_norm(op, 2, cfg)),
+                         (norm_bits, lambda: min_order_norm(op, 2, cfg)),
+                         (verdict_bits, lambda: k_block_positivity(herm, 2, cfg))):
+        assert bits(search()) == bits(search())
+
+
 def test_block_positive_decomposition_reconstructs():
     rng = RandomConfig(seed=20).generator()
     op = _random_op((2, 3), rng)

@@ -8,6 +8,7 @@ from schmidt_norms.optim import (
     SeeSawConfig,
     _frame_gradient,
     _gradient_layouts,
+    _retract,
     ascend,
     compress_tensor,
     frame_ascent,
@@ -17,6 +18,7 @@ from schmidt_norms.optim import (
 )
 from schmidt_norms.rand import (
     RandomConfig,
+    _qr_phase_fixed,
     complex_gaussian,
     random_hermitian,
     random_isometry,
@@ -86,6 +88,21 @@ def test_frame_gradient_matches_finite_differences():
         fd = (f(v + eps * d) - f(v - eps * d)) / (2 * eps)
         analytic = float(np.real(np.sum(g.conj() * d)))
         assert abs(fd - analytic) < 1e-6 * max(1.0, abs(fd))
+
+
+def test_retract_is_the_phase_fixed_qr_factor():
+    # a trial step V + tG of the frame ascent: V orthonormal, G a unit tangent
+    rng = _rng(8)
+    for n, k in ((3, 1), (3, 2), (4, 2), (4, 3), (6, 3)):
+        v = random_isometry(n, k, rng)
+        g = complex_gaussian(rng, (n, k))
+        a = v.conj().T @ g
+        g = g - v @ ((a + a.conj().T) / 2.0)
+        g = g / np.linalg.norm(g)
+        for t in (0.25, 1.0):
+            q = _retract(v + t * g)
+            assert np.max(np.abs(q - _qr_phase_fixed(v + t * g))) < 1e-14
+            assert np.max(np.abs(q.conj().T @ q - np.eye(k))) < 1e-14
 
 
 def test_frame_ascent_history_monotone():
