@@ -250,7 +250,7 @@ def _recheck_blockpos(report: dict, args):
         else load_bipartite(obj).mat
     wit = load_state(report["result"]["witness_vector"])
     value = float(np.real(wit.amplitudes.conj() @ mat @ wit.amplitudes))
-    return value, report["result"]["min_value"], {"file": _digest(args.file)}
+    return value, "min_value", {"file": _digest(args.file)}
 
 
 def _recheck_witness(report: dict, args):
@@ -260,7 +260,7 @@ def _recheck_witness(report: dict, args):
     rho = load_bipartite(read_json(args.state))
     value = float(np.trace(w.mat @ rho.mat).real)
     inputs = {"witness": _digest(args.witness), "state": _digest(args.state)}
-    return value, report["result"]["pairing"], inputs
+    return value, "pairing", inputs
 
 
 def _recheck_kpeb(report: dict, args):
@@ -270,16 +270,16 @@ def _recheck_kpeb(report: dict, args):
     rho = phi.choi.mat / float(np.trace(phi.choi.mat).real)
     w = load_bipartite(report["result"]["witness_operator"])
     value = float(np.trace(w.mat @ rho).real)
-    return value, report["result"]["pairing"], {"map": _digest(args.map)}
+    return value, "pairing", {"map": _digest(args.map)}
 
 
-def _report_param(params: dict, name: str, kinds=int):
-    """``params[name]`` if it is an instance of ``kinds`` and not a bool;
+def _report_field(obj: dict, name: str, kinds=int):
+    """``obj[name]`` if it is an instance of ``kinds`` and not a bool;
     otherwise an input error (exit 1)."""
-    value = params[name]
+    value = obj[name]
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise _CliError("report parameter %r must be %s, got %r" % (
-            name, "an integer" if kinds is int else "a number", value))
+        what = {int: "an integer", dict: "an object"}.get(kinds, "a number")
+        raise _CliError("report field %r must be %s, got %r" % (name, what, value))
     return value
 
 
@@ -288,28 +288,32 @@ def _recheck_detect(report: dict, args):
         raise _CliError("recheck of 'map detect' needs --map and --state")
     psi = load_map(read_json(args.map))
     rho = load_bipartite(read_json(args.state))
-    p = report["parameters"]
-    cfg = SeeSawConfig(restarts=_report_param(p, "restarts"),
-                       max_iters=_report_param(p, "max_iters"),
-                       obj_tol=_report_param(p, "tol", (int, float)),
-                       rng=RandomConfig(seed=_report_param(p, "seed")))
+    p = _report_field(report, "parameters", dict)
+    cfg = SeeSawConfig(restarts=_report_field(p, "restarts"),
+                       max_iters=_report_field(p, "max_iters"),
+                       obj_tol=_report_field(p, "tol", (int, float)),
+                       rng=RandomConfig(seed=_report_field(p, "seed")))
     det = detection_map(psi, cfg)
     value = trace_norm(idk_apply(det, rho.mat, rho.m))
     inputs = {"map": _digest(args.map), "state": _digest(args.state)}
-    return value, report["result"]["trace_norm_value"], inputs
+    return value, "trace_norm_value", inputs
 
 
 def _handle_oracle_recheck(args):
     report = read_json(args.report)
-    if "command" not in report or "result" not in report:
+    if (not isinstance(report, dict) or "command" not in report
+            or "result" not in report):
         raise _CliError("--report file is not a tool report")
     handlers = {"cone blockpos": _recheck_blockpos, "map kpos": _recheck_blockpos,
                 "cone witness": _recheck_witness, "map kpeb": _recheck_kpeb,
                 "map detect": _recheck_detect}
-    if report["command"] not in handlers:
-        raise _CliError("cannot recheck reports of %r" % report["command"])
+    command = report["command"]
+    if not isinstance(command, str) or command not in handlers:
+        raise _CliError("cannot recheck reports of %r" % (command,))
+    _report_field(report, "result", dict)
     try:
-        value, reference, inputs = handlers[report["command"]](report, args)
+        value, field, inputs = handlers[command](report, args)
+        reference = _report_field(report["result"], field, (int, float))
     except KeyError as exc:
         raise _CliError("report is missing field %s" % exc)
     inputs["report"] = _digest(args.report)

@@ -17,6 +17,10 @@ Norms implemented here:
                         X is solved exactly by one eigh per evaluation.
 * ``max_order_norm_upper`` -- proved Hermitian-split bound in closed form.
 * ``dec_norm_value`` -- value of a supplied block-positive decomposition.
+                        The parts of ``block_positive_decomposition`` carry
+                        the (heuristic) witnesses of the searches that sized
+                        them, so they are re-evaluated, not searched again;
+                        a part sum c I has the order norm |c| in closed form.
 * ``maxk_space_norm_bounds`` -- two-sided bounds for the k-maximal norm in
                         closed form with no search: k-row bands above, the
                         identity and the transpose / min(k, n) below.
@@ -34,10 +38,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cones import k_block_positivity
+from .cones import BlockPositivityVerdict, k_block_positivity
 from .linalg import (
     HERM_TOL,
     RECON_TOL,
+    REFUTE_TOL,
     BipartiteOperator,
     Frame,
     PureState,
@@ -61,6 +66,7 @@ from .rand import random_sr_k_vector
 __all__ = [
     "NormEstimate",
     "Witness",
+    "BlockPositivePart",
     "SeeSawConfig",
     "sk_norm",
     "compress",
@@ -242,16 +248,19 @@ def min_order_norm(X: BipartiteOperator, k: int,
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_radius(h: BipartiteOperator, k: int, cfg: SeeSawConfig) -> float:
+def _hermitian_radius(h: BipartiteOperator, k: int, cfg: SeeSawConfig):
     """Best lower bound on sup |<v|h|v>| over SR-<=k unit vectors for a
     Hermitian operator: the max of the `min_order_norm` ascent and both
     one-sided eigen descents.  The first leg is not redundant: on criterion 5
     (5 restarts, config seed 502) it beat both descents on H2 of instance 24
-    at k = 1 (2.51535 against 2.29279)."""
+    at k = 1 (2.51535 against 2.29279).
+
+    Returns (radius, verdict on h, verdict on -h): the two descents are kept
+    as the block-positivity evidence of the parts t I + h and t I - h."""
     neg = BipartiteOperator(h.dims, -h.mat)
-    return max(min_order_norm(h, k, cfg).value,
-               -k_block_positivity(h, k, cfg).min_value,
-               -k_block_positivity(neg, k, cfg).min_value)
+    pos_v, neg_v = k_block_positivity(h, k, cfg), k_block_positivity(neg, k, cfg)
+    radius = max(min_order_norm(h, k, cfg).value, -pos_v.min_value, -neg_v.min_value)
+    return radius, pos_v, neg_v
 
 
 def _hermitian_split(X: BipartiteOperator):
@@ -283,12 +292,44 @@ def max_order_norm_upper(X: BipartiteOperator, k: int,
     return NormEstimate(value=value, direction="upper", witness=None)
 
 
+@dataclass(frozen=True)
+class BlockPositivePart(BipartiteOperator):
+    """A decomposition part with the block-positivity evidence of the search
+    that produced it: a verdict on this operator whose witness and
+    ``min_value`` = <w|P|w> are evaluated on the part itself.  The evidence
+    is as heuristic as `k_block_positivity`, whose search it comes from."""
+
+    evidence: BlockPositivityVerdict
+
+    def __post_init__(self):
+        super().__post_init__()
+        wit = self.evidence.witness_vector
+        if wit is None or wit.dims != self.dims:
+            raise ValueError("part evidence needs a witness on dims %r"
+                             % (self.dims,))
+
+
+def _reevaluate(verdict: BlockPositivityVerdict,
+                mat: np.ndarray) -> BlockPositivityVerdict:
+    """``verdict`` with its witness w re-evaluated on ``mat``: min_value =
+    <w|mat|w> and the status that value gives."""
+    w = verdict.witness_vector.amplitudes
+    val = float(np.real(w.conj() @ mat @ w))
+    status = "refuted" if val < -REFUTE_TOL else "heuristically-positive"
+    return replace(verdict, status=status, min_value=val)
+
+
 def block_positive_decomposition(X: BipartiteOperator, k: int,
                                  cfg: SeeSawConfig | None = None):
     """Canonical decomposition of X into k-block-positive parts t I +- H for
     each Hermitian part H of X = H1 + i H2, t = `_hermitian_radius` + 1e-8;
     parts within HERM_TOL of zero are skipped (H1 is kept if both are).
-    Returns [(lambda_i, P_i)] with sum lambda_i P_i = X exactly."""
+    Returns [(lambda_i, P_i)] with sum lambda_i P_i = X exactly.
+
+    Each P_i is a :class:`BlockPositivePart`: t I + H carries the witness of
+    the descent on H and t I - H that of the descent on -H, both run by
+    `_hermitian_radius`, so `dec_norm_value` re-evaluates them instead of
+    searching again.  The evidence is heuristic, like t itself."""
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
     eye = np.eye(X.mat.shape[0], dtype=complex)
@@ -298,9 +339,12 @@ def block_positive_decomposition(X: BipartiteOperator, k: int,
     parts = []
     for c, h in split:
         lam = c / 2
-        t = _hermitian_radius(BipartiteOperator(X.dims, h), k, cfg) + 1e-8
-        parts.append((lam, BipartiteOperator(X.dims, t * eye + h)))
-        parts.append((-lam, BipartiteOperator(X.dims, t * eye - h)))
+        radius, pos_v, neg_v = _hermitian_radius(BipartiteOperator(X.dims, h), k, cfg)
+        t = radius + 1e-8
+        for coef, mat, search in ((lam, t * eye + h, pos_v),
+                                  (-lam, t * eye - h, neg_v)):
+            parts.append((coef, BlockPositivePart(X.dims, mat,
+                                                  _reevaluate(search, mat))))
     return parts
 
 
@@ -310,8 +354,16 @@ def dec_norm_value(X: BipartiteOperator, parts, k: int,
     parts: the order norm of sum_i |lambda_i| P_i.
 
     Raises if the parts fail to reconstruct X within the reconstruction
-    tolerance or if any part is refuted as k-block positive by the heuristic.
-    No infimum over decompositions is attempted.
+    tolerance or if any part is refuted as k-block positive.  A part that
+    carries evidence at this k (a :class:`BlockPositivePart` from
+    `block_positive_decomposition`) is checked by re-evaluating its witness
+    on the part; any other part runs the `k_block_positivity` search.  Both
+    checks are heuristic, so "upper" rests on the heuristic evidence (for
+    the canonical parts, on the heuristic radius).
+
+    When sum_i |lambda_i| P_i is within HERM_TOL of c I with c real, as the
+    canonical parts always are, its order norm is |c| exactly and no search
+    runs.  No infimum over decompositions is attempted.
     """
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
@@ -325,7 +377,10 @@ def dec_norm_value(X: BipartiteOperator, parts, k: int,
                              % (p.dims, X.dims))
         if not is_hermitian(p.mat):
             raise ValueError("decomposition parts must be Hermitian")
-        verdict = k_block_positivity(p, k, cfg)
+        if isinstance(p, BlockPositivePart) and p.evidence.k == k:
+            verdict = _reevaluate(p.evidence, p.mat)
+        else:
+            verdict = k_block_positivity(p, k, cfg)
         if verdict.status == "refuted":
             raise ValueError("part refuted as %d-block positive (min %.3e)"
                              % (k, verdict.min_value))
@@ -334,6 +389,10 @@ def dec_norm_value(X: BipartiteOperator, parts, k: int,
     if np.max(np.abs(recon - X.mat)) > RECON_TOL:
         raise ValueError("parts do not reconstruct the operator within %g"
                          % RECON_TOL)
+    eye = np.eye(abs_sum.shape[0])
+    c = float(np.trace(abs_sum).real) / abs_sum.shape[0]
+    if np.max(np.abs(abs_sum - c * eye)) <= HERM_TOL:
+        return NormEstimate(value=abs(c), direction="upper", witness=None)
     est = min_order_norm(BipartiteOperator(X.dims, abs_sum), k, cfg)
     return replace(est, direction="upper", witness=None)
 

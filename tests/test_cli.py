@@ -304,6 +304,34 @@ def test_recheck_detect_rejects_malformed_parameters(workdir, capsys, field, bad
     assert err.startswith("error:") and repr(field) in err
 
 
+@pytest.mark.parametrize("corrupt", ["top_level", "command", "result", "parameters",
+                                     "trace_norm_value"])
+def test_recheck_rejects_malformed_report(workdir, capsys, corrupt):
+    code, report, _ = _run(capsys, [
+        "map", "detect", "--state", str(workdir / "iso9.json"),
+        "--map", str(workdir / "red3.json"), "--k", "2", "--seed", "2",
+        "--restarts", "2"])
+    assert code == 2
+    if corrupt == "top_level":
+        report = 7
+    elif corrupt == "command":
+        report["command"] = ["map", "detect"]
+    elif corrupt == "trace_norm_value":
+        report["result"][corrupt] = "0.5"
+    else:
+        report[corrupt] = [1]
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    code, recheck, err = _run(capsys, [
+        "oracle", "recheck", "--report", str(rp),
+        "--map", str(workdir / "red3.json"), "--state", str(workdir / "iso9.json")])
+    assert code == 1
+    assert recheck is None
+    assert err.startswith("error:")
+    if corrupt not in ("top_level", "command"):
+        assert repr(corrupt) in err
+
+
 @pytest.mark.parametrize("corrupt", ["length", "nan"])
 def test_recheck_rejects_malformed_witness_vector(workdir, capsys, corrupt):
     code, report, _ = _run(capsys, [

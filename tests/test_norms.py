@@ -397,6 +397,114 @@ def test_dec_norm_rejects_bad_decomposition():
         dec_norm_value(op, bad, 2, _cfg(22, restarts=2))
 
 
+def _counted(monkeypatch, name):
+    """Count the calls of ``norms.<name>`` from now on; returns the list of
+    call arguments."""
+    calls = []
+    fn = getattr(norms, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(norms, name, wrapper)
+    return calls
+
+
+def test_dec_norm_reuses_decomposition_evidence(monkeypatch):
+    # the canonical parts carry the witnesses of the descents that sized t,
+    # so dec_norm_value re-evaluates them and runs no k_block_positivity
+    # search; bare copies of the same parts are searched once each
+    rng = RandomConfig(seed=24).generator()
+    cfg = _cfg(25, restarts=3, max_iters=60)
+    for dims, k in (((2, 3), 1), ((3, 3), 2)):
+        op = _random_op(dims, rng)
+        parts = block_positive_decomposition(op, k, cfg)
+        assert len(parts) == 4
+        for _, p in parts:
+            assert isinstance(p, norms.BlockPositivePart)
+            ev = p.evidence
+            assert ev.k == k and ev.status == "heuristically-positive"
+            w = ev.witness_vector.amplitudes
+            assert ev.min_value == np.real(w.conj() @ p.mat @ w)
+        calls = _counted(monkeypatch, "k_block_positivity")
+        dec = dec_norm_value(op, parts, k, cfg)
+        assert calls == []
+        bare = [(lam, BipartiteOperator(p.dims, p.mat)) for lam, p in parts]
+        assert dec_norm_value(op, bare, k, cfg).value == dec.value
+        assert len(calls) == len(parts)
+        # evidence at another k is not evidence: the part is searched
+        if k > 1:
+            del calls[:]
+            dec_norm_value(op, parts, k - 1, cfg)
+            assert len(calls) == len(parts)
+        monkeypatch.undo()
+
+
+def test_dec_norm_refutes_non_block_positive_part(monkeypatch):
+    # SWAP reconstructs itself but is not 2-block positive: an antisymmetric
+    # vector such as (|01> - |10>)/sqrt 2 gives -1.  The search refutes the
+    # bare part; a part carrying the search's witness is refuted without one.
+    swap = fixtures.swap_operator(3)
+    cfg = _cfg(26, restarts=3, max_iters=60)
+    with pytest.raises(ValueError, match="refuted"):
+        dec_norm_value(swap, [(1.0, swap)], 2, cfg)
+    verdict = k_block_positivity(swap, 2, cfg)
+    assert verdict.min_value == pytest.approx(-1.0, abs=1e-9)
+    part = norms.BlockPositivePart(swap.dims, swap.mat, verdict)
+    calls = _counted(monkeypatch, "k_block_positivity")
+    with pytest.raises(ValueError, match="refuted"):
+        dec_norm_value(swap, [(1.0, part)], 2, cfg)
+    assert calls == []
+    with pytest.raises(ValueError, match="witness on dims"):
+        norms.BlockPositivePart((1, 9), swap.mat, verdict)
+
+
+def test_dec_norm_closed_form_on_multiples_of_identity(monkeypatch):
+    # the canonical parts sum (with |lambda| weights) to (t1 + t2) I, whose
+    # order norm is t1 + t2: no search, the zero-work metadata, and the
+    # value the order-norm search of the sum reaches
+    rng = RandomConfig(seed=27).generator()
+    cfg = _cfg(28, restarts=3, max_iters=60)
+    for dims, k in [((2, 3), 1)] * 3 + [((3, 3), 2)] * 3:
+        op = _random_op(dims, rng)
+        parts = block_positive_decomposition(op, k, cfg)
+        abs_sum = BipartiteOperator(dims, sum(abs(lam) * p.mat for lam, p in parts))
+        searched = min_order_norm(abs_sum, k, cfg).value
+        calls = _counted(monkeypatch, "min_order_norm")
+        dec = dec_norm_value(op, parts, k, cfg)
+        monkeypatch.undo()
+        assert calls == []
+        assert dec.value == pytest.approx(searched, abs=1e-13)
+        assert dec.direction == "upper" and dec.witness is None
+        assert dec.restarts_used == 0 and dec.iterations == 0
+        assert dec.converged and dec.history == []
+    # a sum that is not a multiple of I is searched: a positive operator
+    a = complex_gaussian(rng, (6, 6))
+    pos = BipartiteOperator((2, 3), a @ a.conj().T)
+    calls = _counted(monkeypatch, "min_order_norm")
+    dec = dec_norm_value(pos, [(1.0, pos)], 1, cfg)
+    assert len(calls) == 1 and dec.restarts_used == 3
+
+
+def test_decomposition_and_dec_bit_identical_in_process():
+    # equal seed, equal bytes: part matrices, evidence witnesses and values,
+    # and the dec value
+    rng = RandomConfig(seed=29).generator()
+    op = _random_op((3, 3), rng)
+    cfg = _cfg(30, restarts=3, max_iters=60)
+
+    def bits():
+        parts = block_positive_decomposition(op, 2, cfg)
+        dec = dec_norm_value(op, parts, 2, cfg)
+        return dec.value, [(lam, p.mat.tobytes(), p.evidence.min_value,
+                            p.evidence.witness_vector.amplitudes.tobytes(),
+                            p.evidence.frame.vectors.tobytes())
+                           for lam, p in parts]
+
+    assert bits() == bits()
+
+
 def test_maxk_space_bounds_sandwich():
     # every k < m, including n < k < m at (4, 2), k = 3
     rng = RandomConfig(seed=23).generator()
