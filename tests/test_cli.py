@@ -203,6 +203,20 @@ def test_oracle_bad_budget_exit_1(workdir, capsys, flags):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("variant, fname, k", [
+    ("sk", "ex51.json", "0"), ("sk", "ex51.json", "4"),
+    ("minorder", "ex51.json", "0"), ("blockmin", "swap3.json", "4"),
+    ("omin", "ex51.json", "4"), ("idk", "red3.json", "0")],
+    ids=["sk-k0", "sk-k4", "minorder-k0", "blockmin-k4", "omin-k4", "idk-k0"])
+def test_oracle_out_of_range_k_exit_1(workdir, capsys, variant, fname, k):
+    code, report, err = _run(capsys, [
+        "oracle", variant, str(workdir / fname), "--k", k, "--samples", "200",
+        "--polish-steps", "2"])
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: k=%s" % k)
+
+
 def test_fixture_emit_isotropic_n1_exit_1(capsys):
     code = main(["fixtures", "emit", "isotropic", "--n", "1", "--fidelity", "0.5"])
     captured = capsys.readouterr()

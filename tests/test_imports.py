@@ -92,3 +92,28 @@ def test_no_package_imports_inside_functions():
         found += ["%s.%s" % (path.stem, f)
                   for f in _package_imports_in_functions(tree)]
     assert not found, "function-local package imports: %s" % ", ".join(found)
+
+
+def _package_modules_imported(tree: ast.Module) -> set:
+    """Package modules a module imports, relative or absolute, anywhere."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "schmidt_norms":
+                continue
+            parts = parts[1:] if node.level == 0 else [p for p in parts if p]
+            # "from . import maps" and "from schmidt_norms import maps" name
+            # the modules in the imported names
+            found |= {parts[0]} if parts else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("schmidt_norms.")}
+    return found
+
+
+def test_oracle_independent_of_optimizers():
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    imported = _package_modules_imported(tree)
+    assert "linalg" in imported  # the scan sees the oracle's own imports
+    assert not imported & {"optim", "norms", "cones", "maps"}, imported

@@ -7,7 +7,11 @@ from schmidt_norms.linalg import BipartiteOperator, operator_norm
 from schmidt_norms.maps import MapRepr, apply, identity_map, transpose_map
 from schmidt_norms.norms import SeeSawConfig, sk_norm
 from schmidt_norms.oracle import (
+    _SAMPLE_BLOCK,
     OracleConfig,
+    _frame_compressions,
+    _pairings,
+    _row_matmul,
     brute_block_min,
     brute_idk_norm,
     brute_min_order,
@@ -111,3 +115,77 @@ def test_oracle_config_validation():
         with pytest.raises(ValueError):
             OracleConfig(**bad)
     OracleConfig(polish_steps=0, pool=1)
+
+
+def _parity_operator():
+    x = BipartiteOperator((3, 4), complex_gaussian(RandomConfig(seed=19).generator(),
+                                                   (12, 12)))
+    return x, BipartiteOperator((3, 4), (x.mat + x.mat.conj().T) / 2)
+
+
+# Values of the loop that re-evaluated the current state at every polish
+# step: carrying the accepted candidates' evaluation moves them only by
+# rounding, so a carried record out of step with its parameters shows here.
+@pytest.mark.parametrize("polish, want", [
+    (0, [3.2595974404201744, 3.4498609097823834, -3.2413402441843497,
+         5.784575381271656, 5.664393139503435]),
+    (30, [7.543574981213134, 5.582128245568654, -5.445952255730033,
+          6.642028124586818, 6.392979790206213])], ids=["polish0", "polish30"])
+def test_polished_values_match_reference(polish, want):
+    x, h = _parity_operator()
+    cfg = OracleConfig(samples=600, polish_steps=polish, pool=24,
+                       rng=RandomConfig(seed=20))
+    got = [brute_sk_norm(x, 2, cfg), brute_min_order(x, 2, cfg),
+           brute_block_min(h, 2, cfg), brute_omin(x, 2, cfg)]
+    choi = BipartiteOperator((2, 3), complex_gaussian(RandomConfig(seed=21).generator(),
+                                                      (6, 6)))
+    got.append(brute_idk_norm(MapRepr.from_choi(choi), 2,
+                              OracleConfig(samples=600, polish_steps=polish,
+                                           rng=RandomConfig(seed=22))))
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, n, k", [(3, 4, 2), (4, 4, 2), (2, 3, 1), (2, 2, 2)])
+def test_frame_compressions_match_dense(m, n, k):
+    rng = RandomConfig(seed=23).generator()
+    x = BipartiteOperator((m, n), complex_gaussian(rng, (m * n, m * n)))
+    frames = np.linalg.qr(complex_gaussian(rng, (5, n, k)))[0]
+    xt = x.blocks().transpose(1, 0, 2, 3).reshape(n, m * m * n)
+    got = _frame_compressions(xt, frames, m)
+    for v, c in zip(frames, got):
+        w = np.kron(np.eye(m), v)
+        assert np.allclose(c, w.conj().T @ x.mat @ w, rtol=0, atol=1e-12)
+
+
+def test_blocked_pairings_match_einsum():
+    # rows on both sides of two block boundaries
+    rng = RandomConfig(seed=26).generator()
+    count = 2 * _SAMPLE_BLOCK + 3
+    v, w = complex_gaussian(rng, (count, 6)), complex_gaussian(rng, (count, 6))
+    xm = complex_gaussian(rng, (6, 6))
+    want = np.einsum("si,ij,sj->s", v.conj(), xm, w)
+    assert np.allclose(_pairings(v, xm, w), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 1), (3, 4, 2), (4, 2, 3)])
+def test_row_matmul_matches_matmul(shape):
+    rng = RandomConfig(seed=27).generator()
+    m, j, k = shape
+    x, y = complex_gaussian(rng, (7, m, j)), complex_gaussian(rng, (7, j, k))
+    assert np.allclose(_row_matmul(x, y), x @ y, rtol=0, atol=1e-12)
+    xt = x.transpose(0, 2, 1)  # a strided view, as the callers pass them
+    assert np.allclose(_row_matmul(xt, x), xt @ x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("brute", [brute_sk_norm, brute_min_order, brute_block_min,
+                                   brute_omin])
+def test_brutes_reject_out_of_range_k(brute, k):
+    op = fixtures.swap_operator(3)
+    with pytest.raises(ValueError, match="out of range"):
+        brute(op, k, _ocfg(24, samples=100, polish=1))
+
+
+def test_brute_idk_rejects_k_below_1():
+    with pytest.raises(ValueError):
+        brute_idk_norm(identity_map(2), 0, _ocfg(25, samples=100, polish=1))
