@@ -127,7 +127,8 @@ class WitnessCertificate:
 
 def _mineig_objective(c: np.ndarray):
     vals, vecs = np.linalg.eigh(c)
-    return float(vals[0]), [(1.0 + 0.0j, vecs[:, 0], vecs[:, 0])]
+    v = vecs[:, 0]
+    return float(vals[0]), [(1.0 + 0.0j, v, v)]
 
 
 def k_block_positivity(X: BipartiteOperator, k: int,

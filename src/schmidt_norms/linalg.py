@@ -262,8 +262,12 @@ def _numerical_radius_attain(x, grid_points: int = 64, theta_tol: float = 1e-12)
     if not 0.0 < theta_tol < np.inf:
         raise ValueError("theta_tol must be finite and > 0")
     thetas = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    px = np.exp(1j * thetas)[:, None, None] * x
-    grid = np.linalg.eigvalsh((px + px.conj().transpose(0, 2, 1)) / 2.0)[:, -1]
+    # Re(e^{i(theta + pi)} x) = -Re(e^{i theta} x): an even grid reads its
+    # second half off the bottom eigenvalues of the first
+    half = grid_points // 2 if grid_points % 2 == 0 else grid_points
+    px = np.exp(1j * thetas[:half])[:, None, None] * x
+    vals = np.linalg.eigvalsh((px + px.conj().transpose(0, 2, 1)) / 2.0)
+    grid = vals[:, -1] if half == grid_points else np.concatenate((vals[:, -1], -vals[:, 0]))
     theta = float(thetas[np.argmax(grid)])
     a, b = theta - 2.0 * np.pi / grid_points, theta + 2.0 * np.pi / grid_points
     top = (-np.inf, theta, None)

@@ -12,9 +12,13 @@ The two map norms are multi-restart see-saws with exact inner steps:
   optimal (v, w) is the top singular pair.
 * ``hermitian_trace_norm``: sup ||(id_k (x) Phi)(|u><u|)||_tr over unit u;
   rank-1 projections are extreme among Hermitian trace-ball elements, so this
-  is a projected-gradient ascent on the sphere.
+  is a projected-gradient ascent on the sphere, one eigh per trial point.
 
-Both run ``optim.ascend`` and report as ``norms.NormEstimate`` does.
+Both run ``optim.ascend`` and report as ``norms.NormEstimate`` does.  On a
+completely positive map both are closed forms, flagged exact, with no
+search: ||Phi(I)|| (Russo-Dye) and lambda_max(Tr_out J(Phi)).  The kernels
+``idk_apply`` and ``idk_pairing_matrix`` are gemms on transposed layouts of
+the Choi tensor.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .linalg import (
     _check_k,
     is_hermitian,
     min_eig_hermitian,
+    operator_norm,
     trace_norm,
 )
 from .optim import (RestartOutcome, SeeSawConfig, ascend, projected_step,
@@ -157,8 +162,9 @@ def idk_apply(phi: MapRepr, x: np.ndarray, k: int) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (k * r, k * r):
         raise ValueError("input shape %r, expected %r" % (x.shape, (k * r,) * 2))
-    x4 = x.reshape(k, r, k, r)
-    out = np.einsum("piqj,iajb->paqb", x4, phi.j4())
+    xs = x.reshape(k, r, k, r).transpose(0, 2, 1, 3).reshape(k * k, r * r)  # (p q, i j)
+    js = phi.j4().transpose(0, 2, 1, 3).reshape(r * r, n * n)              # (i j, a b)
+    out = np.dot(xs, js).reshape(k, k, n, n).transpose(0, 2, 1, 3)         # (p, a, q, b)
     return out.reshape(k * n, k * n)
 
 
@@ -167,8 +173,9 @@ def idk_pairing_matrix(phi: MapRepr, v: np.ndarray, w: np.ndarray, k: int) -> np
     r, n = phi.in_dim, phi.out_dim
     v4 = np.asarray(v, dtype=complex).reshape(k, n)
     w4 = np.asarray(w, dtype=complex).reshape(k, n)
-    y = np.einsum("pa,iajb,qb->qjpi", v4.conj(), phi.j4(), w4)
-    return y.reshape(k * r, k * r)
+    t = np.dot(phi.choi.mat.reshape(r * n * r, n), w4.T).reshape(r, n, r, k)  # (i, a, j, q)
+    y = np.dot(v4.conj(), t.transpose(1, 0, 2, 3).reshape(n, r * r * k))        # (p, i j q)
+    return y.reshape(k, r, r, k).transpose(3, 2, 0, 1).reshape(k * r, k * r)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +252,19 @@ def _polar_trace_step(y: np.ndarray) -> np.ndarray:
 def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNormEstimate:
     """Lower bound on ||id_k (x) Phi|| = sup{||(id_k (x) Phi)(X)|| : ||X|| <= 1}.
 
-    Alternates two exact partial maximizations (see module docstring).
-    Restart 0 starts from X = I, which already attains the supremum for
-    completely positive maps (value ||Phi(I)||); those results are flagged
-    exact.
+    Alternates two exact partial maximizations (see module docstring);
+    restart 0 starts from X = I.  A completely positive map attains the
+    supremum at X = I (Russo-Dye), so it gets the closed form ||Phi(I)||,
+    flagged exact, with no search.
     """
     cfg = cfg or SeeSawConfig()
     if k < 1:
         raise ValueError("k must be >= 1")
     r, n = phi.in_dim, phi.out_dim
+    if phi.is_cp():
+        return MapNormEstimate(value=operator_norm(np.einsum("iaib->ab", phi.j4())),
+                               direction="exact-flagged",
+                               attaining_input=np.eye(k * r, dtype=complex))
 
     def evaluate(x: np.ndarray):
         u, s, vh = np.linalg.svd(idk_apply(phi, x, k))
@@ -274,15 +285,9 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
         return ascend(*evaluate(x), step, cfg)
 
     best, outcomes = run_restarts(worker, cfg)
-    direction = "exact-flagged" if phi.is_cp() else "lower"
-    return MapNormEstimate(value=best.value, direction=direction,
+    return MapNormEstimate(value=best.value, direction="lower",
                            attaining_input=best.payload[0],
                            **search_metadata(best, outcomes))
-
-
-def _sign_matrix(a: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.sign(vals)) @ vecs.conj().T
 
 
 def hermitian_trace_norm(phi: MapRepr, k: int,
@@ -290,25 +295,43 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
     """Lower bound on sup ||(id_k (x) Phi)(|u><u|)||_tr over unit vectors u,
     which equals the induced Hermitian trace norm of id_k (x) Phi (rank-1
     projections are extreme among trace-ball Hermitians) and the supremum of
-    ||(id (x) Phi)(rho)||_tr over states with Schmidt number <= k."""
+    ||(id (x) Phi)(rho)||_tr over states with Schmidt number <= k.
+
+    A completely positive map has positive outputs, whose trace norm is the
+    trace <u|I_k (x) M^T|u> with M = Tr_out J(Phi): the closed form
+    lambda_max(M) at u = e_1 (x) conj(top eigenvector of M), flagged exact,
+    with no search.  Otherwise each evaluation takes one eigh of the output's
+    Hermitian part, which gives the value (sum of |lambda|) and the sign
+    matrix of the ascent direction.
+    """
     cfg = cfg or SeeSawConfig()
     if k < 1:
         raise ValueError("k must be >= 1")
     if not is_hermitian(phi.choi.mat):
         raise ValueError("Hermitian trace norm needs a Hermiticity-preserving map")
-    r = phi.in_dim
-    j4 = phi.j4()
-    n = phi.out_dim
+    r, n = phi.in_dim, phi.out_dim
     d = k * r
+    j4 = phi.j4()
+    if phi.is_cp():
+        vals, vecs = np.linalg.eigh(np.einsum("iaja->ij", j4))
+        u = np.zeros((k, r), dtype=complex)
+        u[0] = vecs[:, -1].conj()
+        return MapNormEstimate(value=float(vals[-1]), direction="exact-flagged",
+                               attaining_input=PureState((k, r), u.reshape(-1)))
+    jt = j4.transpose(1, 3, 0, 2).reshape(n * n, r * r)  # (a b, i j)
 
     def value_at(u: np.ndarray):
         a = idk_apply(phi, np.outer(u, u.conj()), k)
-        return trace_norm(a), a
+        vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+        return float(np.sum(np.abs(vals))), (vals, vecs)
 
-    def direction(u: np.ndarray, a: np.ndarray) -> np.ndarray:
-        s4 = _sign_matrix((a + a.conj().T) / 2.0).reshape(k, n, k, n)
-        kmat = np.einsum("qbpa,iajb->piqj", s4, j4).reshape(d, d)
-        g = kmat.T @ u
+    def direction(u: np.ndarray, eig) -> np.ndarray:
+        # (id_k (x) Phi)^* of the sign matrix, as the (q j, p i) matrix
+        vals, vecs = eig
+        sign = (vecs * np.sign(vals)) @ vecs.conj().T                  # (q b, p a)
+        st = sign.reshape(k, n, k, n).transpose(2, 0, 3, 1).reshape(k * k, n * n)
+        kmat = np.dot(st, jt).reshape(k, k, r, r).transpose(1, 3, 0, 2)  # (q, j, p, i)
+        g = kmat.reshape(d, d) @ u
         return g - u * (u.conj() @ g)
 
     def normalize(u: np.ndarray) -> np.ndarray:
@@ -322,9 +345,9 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
             u = u.reshape(-1) / np.sqrt(min(k, r))
         else:
             u = random_unit_vector(d, rng)
-        val, a = value_at(u)
+        val, eig = value_at(u)
         step = projected_step(value_at, direction, normalize, 0.5, 1e-14)
-        return ascend(val, (u, a), step, cfg)
+        return ascend(val, (u, eig), step, cfg)
 
     best, outcomes = run_restarts(worker, cfg)
     return MapNormEstimate(value=best.value, direction="lower",

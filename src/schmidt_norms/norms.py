@@ -202,8 +202,10 @@ def _hermitian_objective(c: np.ndarray):
     the angle search of `_numrad_objective` only approaches."""
     vals, vecs = np.linalg.eigh(c)
     if vals[-1] >= -vals[0]:
-        return float(vals[-1]), [(1.0 + 0.0j, vecs[:, -1], vecs[:, -1])]
-    return float(-vals[0]), [(-1.0 + 0.0j, vecs[:, 0], vecs[:, 0])]
+        v = vecs[:, -1]
+        return float(vals[-1]), [(1.0 + 0.0j, v, v)]
+    v = vecs[:, 0]
+    return float(-vals[0]), [(-1.0 + 0.0j, v, v)]
 
 
 def _frame_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig, objective,

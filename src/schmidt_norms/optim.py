@@ -174,10 +174,13 @@ def lift_from_frame(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
 
 
 def _gradient_layouts(t4: np.ndarray):
-    """The two matrix layouts of t4 that :func:`_frame_gradient` multiplies."""
+    """The two matrix layouts of t4 that :func:`_frame_gradient` multiplies,
+    and whether t4 is exactly Hermitian as an mn x mn matrix."""
     m, n = t4.shape[:2]
+    mat = t4.reshape(m * n, m * n)
     return (t4.transpose(0, 1, 3, 2).reshape(m * n, n * m),
-            t4.transpose(1, 0, 2, 3).reshape(n * m, m * n))
+            t4.transpose(1, 0, 2, 3).reshape(n * m, m * n),
+            np.array_equal(mat, mat.conj().T))
 
 
 def _frame_gradient(layouts, v: np.ndarray, terms) -> np.ndarray:
@@ -186,17 +189,23 @@ def _frame_gradient(layouts, v: np.ndarray, terms) -> np.ndarray:
 
     ``terms`` is a list of (coef, u, w) with the differential of the
     objective equal to sum_t Re(coef * u^† dC w); the derivative through the
-    attaining vectors vanishes at the optimizer of the inner problem.
+    attaining vectors vanishes at the optimizer of the inner problem.  When
+    t4 is exactly Hermitian and a term passes one vector object as u and w,
+    its second product is the first with conj(coef) for coef, so the term
+    costs one product: 2 Re(coef) times the first without its coefficient.
     """
-    (t4_iabj, t4_aijb), (n, k) = layouts, v.shape
+    (t4_iabj, t4_aijb, hermitian), (n, k) = layouts, v.shape
     m = t4_iabj.shape[0] // n
     g = 0
     for coef, u, w in terms:
         ur = u.reshape(k, m).conj()
         wr = w.reshape(k, m)
         q = np.dot(v, wr).reshape(n * m, 1)                       # (b, j)
-        p = np.dot(v.conj(), ur).reshape(1, n * m)                # (a, i)
         s1 = np.dot(t4_iabj, q).reshape(m, n)                     # (i, a)
+        if hermitian and u is w:
+            g = g + np.dot(s1.T, (2.0 * coef.real) * ur.T)
+            continue
+        p = np.dot(v.conj(), ur).reshape(1, n * m)                # (a, i)
         s2 = np.dot(p, t4_aijb).reshape(m, n)                     # (j, b)
         m1 = np.dot(s1.T, coef * ur.T)                            # (a, r)
         m2 = np.dot(s2.T.conj(), np.conj(coef) * wr.T.conj())     # (b, s)

@@ -151,6 +151,29 @@ def test_numerical_radius_matches_dense_reference():
         assert abs(numerical_radius(x) - ref) <= 1e-10
 
 
+def test_numerical_radius_grid_one_batched_eigvalsh(monkeypatch):
+    # Re(e^{i(theta + pi)} x) = -Re(e^{i theta} x): an even grid batches half
+    # its angles into the one eigvalsh call, an odd grid all of them
+    rng = _rng(42)
+    x = complex_gaussian(rng, (4, 4))
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    even, odd = (_numerical_radius_attain(x, grid, 1e-12)[0] for grid in (32, 33))
+    monkeypatch.undo()
+    assert shapes == [(16, 4, 4), (33, 4, 4)]
+    thetas = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    phases = np.exp(1j * thetas)[:, None, None]
+    scan = np.linalg.eigvalsh((phases * x + phases.conj() * x.conj().T) / 2.0)[:, -1]
+    assert even >= np.max(scan) - 1e-12
+    assert abs(even - odd) < 1e-10
+
+
 def test_numerical_radius_attainer():
     # the value is lambda_max(Re(e^{i theta} x)) and |<v|x|v>| at the
     # returned angle and unit vector, for the objective's 32-point, 1e-8 setting too

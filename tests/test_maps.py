@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schmidt_norms import fixtures
+from schmidt_norms import fixtures, maps
 from schmidt_norms.cones import SchmidtEnsemble, reduction_witness
 from schmidt_norms.linalg import BipartiteOperator, PureState, operator_norm, trace_norm
 from schmidt_norms.maps import (
@@ -13,6 +13,7 @@ from schmidt_norms.maps import (
     identity_map,
     idk_apply,
     idk_op_norm,
+    idk_pairing_matrix,
     k_peb_certify,
     k_peb_refute,
     k_positivity,
@@ -185,6 +186,103 @@ def test_htn_attaining_input_reproduces_value():
     proj = np.outer(u, u.conj())
     assert trace_norm(idk_apply(phi, proj, 2)) == pytest.approx(est.value,
                                                                 abs=1e-8)
+
+
+def _random_kraus_map(r, n, rng, terms=2):
+    # completely positive, and not trace preserving: Tr_out J != I
+    return MapRepr.from_kraus([complex_gaussian(rng, (n, r)) for _ in range(terms)], r, n)
+
+
+def test_idk_kernels_match_einsum():
+    rng = RandomConfig(seed=35).generator()
+    for r, n in ((2, 3), (3, 2), (3, 3)):
+        phi = _random_hp_map(r, n, rng)
+        j4 = phi.j4()
+        for k in (1, 2, 3):
+            x = complex_gaussian(rng, (k * r, k * r))
+            want = np.einsum("piqj,iajb->paqb", x.reshape(k, r, k, r), j4)
+            assert np.max(np.abs(idk_apply(phi, x, k) - want.reshape(k * n, k * n))) < 1e-13
+            v = complex_gaussian(rng, (k * n,))
+            w = complex_gaussian(rng, (k * n,))
+            y = idk_pairing_matrix(phi, v, w, k)
+            want = np.einsum("pa,iajb,qb->qjpi", v.reshape(k, n).conj(), j4, w.reshape(k, n))
+            assert np.max(np.abs(y - want.reshape(k * r, k * r))) < 1e-13
+            # the defining identity <v|(id_k (x) Phi)(X)|w> = Tr(X Y)
+            assert abs(v.conj() @ idk_apply(phi, x, k) @ w - np.trace(x @ y)) < 1e-12
+
+
+def _searched(monkeypatch, norm, phi, k, cfg):
+    """``norm`` run as a search, with the map's complete positivity hidden."""
+    monkeypatch.setattr(MapRepr, "is_cp", lambda self, tol=0.0: False)
+    try:
+        return norm(phi, k, cfg)
+    finally:
+        monkeypatch.undo()
+
+
+def test_cp_map_norms_take_the_closed_forms(monkeypatch):
+    # ||id_k (x) Phi|| = ||Phi(I)|| (Russo-Dye) and ||id_k (x) Phi||_tr^H =
+    # lambda_max(Tr_out J): never below a 20-restart search (up to rounding)
+    # and within 1e-9 of it, attained by the reported input, with no work
+    rng = RandomConfig(seed=36).generator()
+    cfg = _cfg(37, restarts=20, max_iters=200)
+    for r, n in ((3, 3), (2, 3), (3, 2)):
+        phi = _random_kraus_map(r, n, rng)
+        assert phi.is_cp() and not phi.is_trace_preserving()
+        for k in (1, 2):
+            for norm in (idk_op_norm, hermitian_trace_norm):
+                est = norm(phi, k, cfg)
+                search = _searched(monkeypatch, norm, phi, k, cfg)
+                assert search.direction == "lower" and search.restarts_used == 20
+                assert est.value >= search.value - 1e-12
+                assert est.value - search.value <= 1e-9
+                assert est.direction == "exact-flagged"
+                assert (est.restarts_used, est.iterations, est.converged,
+                        est.history) == (0, 0, True, [])
+            x = idk_op_norm(phi, k, cfg).attaining_input
+            assert operator_norm(x) <= 1.0 + 1e-12
+            assert operator_norm(idk_apply(phi, x, k)) == pytest.approx(
+                operator_norm(apply(phi, np.eye(r))), abs=1e-12)
+            est = hermitian_trace_norm(phi, k, cfg)
+            u = est.attaining_input.amplitudes
+            assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+            assert trace_norm(idk_apply(phi, np.outer(u, u.conj()), k)) == pytest.approx(
+                est.value, abs=1e-12)
+            red = np.einsum("iaja->ij", phi.j4())
+            assert est.value == pytest.approx(np.linalg.eigvalsh(red)[-1], abs=1e-12)
+            assert abs(est.value - 1.0) > 1e-2
+
+
+def test_htn_one_eigh_per_evaluation_and_no_search_on_cp(monkeypatch):
+    # counted, not timed: each trial point of the sphere ascent takes one
+    # eigh (value and sign matrix) and no SVD; CP maps run no search
+    counts = {"eigh": 0, "svd": 0, "idk_apply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rng = RandomConfig(seed=38).generator()
+    phi = _random_hp_map(3, 3, rng)
+    assert not phi.is_cp()
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(maps, "idk_apply", counted("idk_apply", maps.idk_apply))
+    est = hermitian_trace_norm(phi, 2, _cfg(39, restarts=3, max_iters=60))
+    assert est.iterations > 3
+    assert counts["idk_apply"] > est.iterations
+    assert counts["eigh"] == counts["idk_apply"] and counts["svd"] == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search run on a CP map")
+
+    monkeypatch.setattr(maps, "run_restarts", forbidden)
+    cp = _random_kraus_map(3, 3, rng)
+    for k in (1, 2):
+        hermitian_trace_norm(cp, k, _cfg(39))
+        idk_op_norm(cp, k, _cfg(39))
 
 
 def test_detection_map_trivial_inputs():

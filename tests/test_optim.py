@@ -90,6 +90,47 @@ def test_frame_gradient_matches_finite_differences():
         assert abs(fd - analytic) < 1e-6 * max(1.0, abs(fd))
 
 
+def test_hermitian_single_vector_gradient_is_the_two_product_sum():
+    # exactly Hermitian t4 and one vector object as u and w: one product,
+    # scaled by 2 Re(coef), equals the general two-product sum
+    rng = _rng(9)
+    for m, n, k in ((2, 3, 1), (3, 3, 2), (4, 4, 3)):
+        t4 = random_hermitian(m * n, rng).reshape(m, n, m, n)
+        layouts = _gradient_layouts(t4)
+        assert layouts[2] is True
+        general = layouts[:2] + (False,)
+        v = random_isometry(n, k, rng)
+        for coef in (1.0 + 0.0j, -1.0 + 0.0j, complex_gaussian(rng, ())):
+            u = complex_gaussian(rng, (k * m,))
+            terms = [(coef, u, u)]
+            g = _frame_gradient(layouts, v, terms)
+            assert np.max(np.abs(g - _frame_gradient(general, v, terms))) < 1e-14
+            assert np.max(np.abs(g - _frame_gradient(layouts, v, [(coef, u, u.copy())]))) < 1e-14
+    assert _gradient_layouts(complex_gaussian(rng, (2, 3, 2, 3)))[2] is False
+
+
+def test_frame_gradient_non_hermitian_unit_coefficient_matches_fd():
+    # a non-Hermitian t4 with one vector object and coefficient exactly
+    # 1+0j (the numerical-radius objective at theta = 0) keeps both products
+    rng = _rng(10)
+    m, n, k = 2, 3, 2
+    t4 = complex_gaussian(rng, (m, n, m, n))
+    v = random_isometry(n, k, rng)
+    u = complex_gaussian(rng, (k * m,))
+    coef = 1.0 + 0.0j
+
+    def f(vv):
+        return float(np.real(coef * (u.conj() @ compress_tensor(t4, vv) @ u)))
+
+    g = _frame_gradient(_gradient_layouts(t4), v, [(coef, u, u)])
+    eps = 1e-6
+    for _ in range(5):
+        d = complex_gaussian(rng, (n, k))
+        fd = (f(v + eps * d) - f(v - eps * d)) / (2 * eps)
+        analytic = float(np.real(np.sum(g.conj() * d)))
+        assert abs(fd - analytic) < 1e-6 * max(1.0, abs(fd))
+
+
 def test_retract_is_the_phase_fixed_qr_factor():
     # a trial step V + tG of the frame ascent: V orthonormal, G a unit tangent
     rng = _rng(8)
