@@ -1,10 +1,11 @@
 """Cone membership: k-block positivity, Schmidt-number certificates, and
 witness duality checks.
 
-``k_block_positivity`` is the workhorse: it minimizes <v|X|v> over unit
-vectors of Schmidt rank at most k with the same frame see-saw used by the
-norms module (the inner step is an exact minimal-eigenpair computation of the
-compressed operator).  A negative minimum below ``REFUTE_TOL`` refutes
+``k_block_positivity`` is the workhorse: it searches the minimum of <v|X|v>
+over unit vectors of Schmidt rank at most k as the supremum of -<v|X|v>,
+with the same frame ascent used by the norms module (the inner step is an
+exact bottom-eigenpair computation of the compressed operator, valued
+-lambda_min).  A negative minimum below ``REFUTE_TOL`` refutes
 k-block positivity with an explicit witness vector; otherwise the verdict is
 ``heuristically-positive``, which is deliberately one-sided: no completeness
 is claimed.
@@ -125,26 +126,30 @@ class WitnessCertificate:
                 and self.pairing < -REFUTE_TOL)
 
 
-def _mineig_objective(c: np.ndarray):
+def _neg_mineig_objective(c: np.ndarray):
+    """-lambda_min of a Hermitian compression, from one eigh, with the term
+    (-1, v, v) of its bottom eigenvector v."""
     vals, vecs = np.linalg.eigh(c)
     v = vecs[:, 0]
-    return float(vals[0]), [(1.0 + 0.0j, v, v)]
+    return float(-vals[0]), (-1.0 + 0.0j, v, v)
 
 
 def k_block_positivity(X: BipartiteOperator, k: int,
                        cfg: SeeSawConfig | None = None) -> BlockPositivityVerdict:
     """Minimize <v|X|v> over Schmidt-rank-<=k unit vectors.
 
-    Frame see-saw through :func:`frame_search`: for a fixed orthonormal frame
-    the inner minimum is the bottom eigenpair of the compression (exact); the
-    frame descends along the projected gradient.  At k = min(m, n) the
-    constraint is vacuous and the global eigenpair is returned directly.
+    Frame ascent on -lambda_min through :func:`frame_search`: for a fixed
+    orthonormal frame the inner minimum is the bottom eigenpair of the
+    compression (exact), and the frame ascends -lambda_min along the
+    projected gradient.  ``min_value`` is <w|X|w> re-evaluated at the witness
+    w on X.  At k = min(m, n) the constraint is vacuous and the global
+    eigenpair is returned directly.
     """
     cfg = cfg or SeeSawConfig()
     if not is_hermitian(X.mat):
         raise ValueError("k-block positivity needs a Hermitian operator")
     _check_k(X, k)
-    best, outcomes = frame_search(X, k, _mineig_objective, cfg, maximize=False)
+    best, outcomes = frame_search(X, k, _neg_mineig_objective, cfg)
     frame, (wit,) = best.payload
     val = float(np.real(wit.amplitudes.conj() @ X.mat @ wit.amplitudes))
     status = "refuted" if val < -REFUTE_TOL else "heuristically-positive"

@@ -149,11 +149,8 @@ def reduction_map(n: int, p: float = 1.0) -> MapRepr:
 
 
 def apply(phi: MapRepr, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (phi.in_dim, phi.in_dim):
-        raise ValueError("input shape %r, expected %r"
-                         % (x.shape, (phi.in_dim, phi.in_dim)))
-    return np.einsum("ij,iajb->ab", x, phi.j4())
+    """Phi(X), the k = 1 case of :func:`idk_apply`."""
+    return idk_apply(phi, x, 1)
 
 
 def idk_apply(phi: MapRepr, x: np.ndarray, k: int) -> np.ndarray:
@@ -272,8 +269,7 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
 
     def step(_value: float, state):
         _, v, w = state
-        val, state = evaluate(_polar_trace_step(idk_pairing_matrix(phi, v, w, k)))
-        return [val], val, state
+        return evaluate(_polar_trace_step(idk_pairing_matrix(phi, v, w, k)))
 
     def worker(restart: int, rng: np.random.Generator) -> RestartOutcome:
         if restart == 0:
@@ -414,6 +410,8 @@ def sn_contraction_test(rho: BipartiteOperator, phi: MapRepr, k: int,
     certifies one, otherwise against the library's own estimate.
     """
     cfg = cfg or SeeSawConfig()
+    if k < 1:
+        raise ValueError("k must be >= 1")
     _check_state(rho)
     if norm_bound is not None and not 0.0 <= norm_bound < np.inf:  # also NaN
         raise ValueError("norm_bound must be finite and >= 0, got %r" % norm_bound)

@@ -119,7 +119,7 @@ class NormEstimate:
 def _sk_step(xm: np.ndarray, m: int, n: int, k: int):
     """One see-saw step for :func:`optim.ascend` over states (v, w): both
     half-steps, each the renormalized Schmidt truncation of X w (then of
-    X^dagger v), logging the full-step value; None if a truncation vanishes."""
+    X^dagger v), returning the full-step value; None if a truncation vanishes."""
     def truncate(z: np.ndarray):
         t = _truncate_vec(z, m, n, k).reshape(-1)
         nt = np.linalg.norm(t)
@@ -133,8 +133,7 @@ def _sk_step(xm: np.ndarray, m: int, n: int, k: int):
         w = truncate(y)
         if w is None:
             return None
-        val = float(np.real(w.conj() @ y))
-        return [val], val, (v, w)
+        return float(np.real(w.conj() @ y)), (v, w)
 
     return step
 
@@ -188,12 +187,12 @@ def compress(X: BipartiteOperator, frame: Frame) -> np.ndarray:
 
 def _opnorm_objective(c: np.ndarray):
     u, s, vh = np.linalg.svd(c)
-    return float(s[0]), [(1.0 + 0.0j, u[:, 0], vh[0, :].conj())]
+    return float(s[0]), (1.0 + 0.0j, u[:, 0], vh[0, :].conj())
 
 
 def _numrad_objective(c: np.ndarray):
     val, theta, vec = _numerical_radius_attain(c, 32, 1e-8)
-    return val, [(np.exp(1j * theta), vec, vec)]
+    return val, (np.exp(1j * theta), vec, vec)
 
 
 def _hermitian_objective(c: np.ndarray):
@@ -203,9 +202,9 @@ def _hermitian_objective(c: np.ndarray):
     vals, vecs = np.linalg.eigh(c)
     if vals[-1] >= -vals[0]:
         v = vecs[:, -1]
-        return float(vals[-1]), [(1.0 + 0.0j, v, v)]
+        return float(vals[-1]), (1.0 + 0.0j, v, v)
     v = vecs[:, 0]
-    return float(-vals[0]), [(-1.0 + 0.0j, v, v)]
+    return float(-vals[0]), (-1.0 + 0.0j, v, v)
 
 
 def _frame_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig, objective,
@@ -253,11 +252,11 @@ def min_order_norm(X: BipartiteOperator, k: int,
 def _hermitian_radius(h: BipartiteOperator, k: int, cfg: SeeSawConfig):
     """Best lower bound on sup |<v|h|v>| over SR-<=k unit vectors for a
     Hermitian operator: the max of the `min_order_norm` ascent and both
-    one-sided eigen descents.  The first leg is not redundant: on criterion 5
-    (5 restarts, config seed 502) it beat both descents on H2 of instance 24
-    at k = 1 (2.51535 against 2.29279).
+    one-sided block-positivity searches.  The first leg is not redundant: on
+    criterion 5 (5 restarts, config seed 502) it beat both searches on H2 of
+    instance 24 at k = 1 (2.51535 against 2.29279).
 
-    Returns (radius, verdict on h, verdict on -h): the two descents are kept
+    Returns (radius, verdict on h, verdict on -h): the two searches are kept
     as the block-positivity evidence of the parts t I + h and t I - h."""
     neg = BipartiteOperator(h.dims, -h.mat)
     pos_v, neg_v = k_block_positivity(h, k, cfg), k_block_positivity(neg, k, cfg)
@@ -329,7 +328,7 @@ def block_positive_decomposition(X: BipartiteOperator, k: int,
     Returns [(lambda_i, P_i)] with sum lambda_i P_i = X exactly.
 
     Each P_i is a :class:`BlockPositivePart`: t I + H carries the witness of
-    the descent on H and t I - H that of the descent on -H, both run by
+    the search on H and t I - H that of the search on -H, both run by
     `_hermitian_radius`, so `dec_norm_value` re-evaluates them instead of
     searching again.  The evidence is heuristic, like t itself."""
     cfg = cfg or SeeSawConfig()

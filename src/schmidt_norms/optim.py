@@ -3,17 +3,19 @@ frame compressions, and :func:`frame_search`, the one driver behind
 ``omin_norm``, ``min_order_norm`` and ``k_block_positivity``.
 
 Every search is a monotone ascent with an exact inner step and runs
-:func:`ascend`: the ``sk_norm`` and ``idk_op_norm`` see-saws with their own
-steps, the frame ascent and the sphere ascent of ``hermitian_trace_norm``
-with :func:`projected_step`, each keeping its own retraction, first step
-and gradient floor.  The frame ascent retracts by :func:`_retract`, a
+:func:`ascend`, which logs one value per step: the ``sk_norm`` and
+``idk_op_norm`` see-saws with their own steps, the frame ascent and the
+sphere ascent of ``hermitian_trace_norm`` with :func:`projected_step`, each
+keeping its own retraction, first step and gradient floor.  A minimum, as
+in ``k_block_positivity``, is searched as the supremum of the negated
+objective.  The frame ascent retracts by :func:`_retract`, a
 Gram-Schmidt thin QR factor: several times cheaper than LAPACK QR on these
 small frames, and accurate because a step from an orthonormal frame along a
 unit tangent has condition number at most sqrt(2).  Only a restart's Haar
 start frame goes through LAPACK QR.
 
 Restart r draws its start from RNG stream ``cfg.rng.stream(r)``; the result
-is the best restart, ties going to the smaller index, and
+is the restart of largest value, ties going to the smaller index, and
 :func:`search_metadata` gives an estimate's search fields (``restarts_used``
 = restarts that ran).
 
@@ -67,16 +69,13 @@ class RestartOutcome:
     converged: bool
 
 
-def run_restarts(worker, cfg: SeeSawConfig, minimize: bool = False):
+def run_restarts(worker, cfg: SeeSawConfig):
     """Run ``worker(restart_index, rng)`` for each restart in order and
-    return (best, outcomes); ties resolve to the first index."""
+    return (best, outcomes), best being the outcome of largest value; ties
+    resolve to the first index."""
     outcomes = [worker(r, cfg.rng.stream(r).generator())
                 for r in range(cfg.restarts)]
-    best = outcomes[0]
-    for out in outcomes[1:]:
-        if (out.value < best.value) if minimize else (out.value > best.value):
-            best = out
-    return best, outcomes
+    return max(outcomes, key=lambda out: out.value), outcomes
 
 
 def iterations(outcomes) -> int:
@@ -91,40 +90,37 @@ def search_metadata(best: RestartOutcome, outcomes) -> dict:
                 converged=best.converged, history=[o.history for o in outcomes])
 
 
-def ascend(value: float, state, step, cfg: SeeSawConfig,
-           sign: float = 1.0) -> RestartOutcome:
-    """The one monotone ascent loop (a descent for ``sign = -1``).
+def ascend(value: float, state, step, cfg: SeeSawConfig) -> RestartOutcome:
+    """The one monotone ascent loop.
 
-    ``step(value, state)`` returns (logged values, new value, new state), or
-    None when no improving move exists.  The loop stops as converged on None
-    or when the signed gain ``sign * (new - value)`` is below ``cfg.obj_tol``,
-    and as not converged after ``cfg.max_iters`` steps.  The history starts
-    with ``value`` and appends every logged value; the payload is the last
-    state.
+    ``step(value, state)`` returns (new value, new state), or None when no
+    improving move exists.  The loop stops as converged on None or when the
+    gain ``new - value`` is below ``cfg.obj_tol``, and as not converged after
+    ``cfg.max_iters`` steps.  The history starts with ``value`` and logs each
+    step's new value; the payload is the last state.
     """
     history = [value]
     for _ in range(cfg.max_iters):
         moved = step(value, state)
         if moved is None:
             return RestartOutcome(value, state, history, True)
-        logged, new, state = moved
-        history.extend(logged)
-        gain, value = sign * (new - value), new
+        new, state = moved
+        history.append(new)
+        gain, value = new - value, new
         if gain < cfg.obj_tol:
             return RestartOutcome(value, state, history, True)
     return RestartOutcome(value, state, history, False)
 
 
-def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
-                   sign: float = 1.0):
+def projected_step(evaluate, direction, retract, eta: float, grad_tol: float):
     """The line search of the frame and sphere ascents, as an :func:`ascend`
     step over states (x, data) with ``evaluate(x) -> (value, data)``.
 
     The tangent ``direction(x, data)`` ends the search when shorter than
     ``grad_tol``; normalized, it is tried with at most ``_MAX_HALVINGS + 1``
     step sizes halving from ``eta``, each point mapped back by ``retract``,
-    until one improves.  The next step starts at 1.5 times the accepted
-    one, capped at 1.
+    until one raises the value.  The next step starts at 1.5 times the
+    accepted one, capped at 1.
     """
     def step(value, state):
         nonlocal eta
@@ -138,9 +134,9 @@ def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
         for _ in range(_MAX_HALVINGS + 1):
             x_new = retract(x + t * g)
             val_new, data_new = evaluate(x_new)
-            if sign * val_new > sign * value:
+            if val_new > value:
                 eta = min(t * 1.5, 1.0)
-                return [val_new], val_new, (x_new, data_new)
+                return val_new, (x_new, data_new)
             t /= 2.0
         return None
 
@@ -183,34 +179,30 @@ def _gradient_layouts(t4: np.ndarray):
             np.array_equal(mat, mat.conj().T))
 
 
-def _frame_gradient(layouts, v: np.ndarray, terms) -> np.ndarray:
+def _frame_gradient(layouts, v: np.ndarray, term) -> np.ndarray:
     """Ascent direction for the compression objective with respect to the
     conjugate frame entries; ``layouts`` is ``_gradient_layouts(t4)``.
 
-    ``terms`` is a list of (coef, u, w) with the differential of the
-    objective equal to sum_t Re(coef * u^† dC w); the derivative through the
-    attaining vectors vanishes at the optimizer of the inner problem.  When
-    t4 is exactly Hermitian and a term passes one vector object as u and w,
-    its second product is the first with conj(coef) for coef, so the term
-    costs one product: 2 Re(coef) times the first without its coefficient.
+    ``term`` is (coef, u, w) with the differential of the objective equal
+    to Re(coef * u^† dC w); the derivative through the attaining vectors
+    vanishes at the optimizer of the inner problem.  When t4 is exactly
+    Hermitian and the term passes one vector object as u and w, the second
+    product is the first with conj(coef) for coef, so the gradient costs one
+    product: 2 Re(coef) times the first without its coefficient.
     """
-    (t4_iabj, t4_aijb, hermitian), (n, k) = layouts, v.shape
+    (t4_iabj, t4_aijb, hermitian), (n, k), (coef, u, w) = layouts, v.shape, term
     m = t4_iabj.shape[0] // n
-    g = 0
-    for coef, u, w in terms:
-        ur = u.reshape(k, m).conj()
-        wr = w.reshape(k, m)
-        q = np.dot(v, wr).reshape(n * m, 1)                       # (b, j)
-        s1 = np.dot(t4_iabj, q).reshape(m, n)                     # (i, a)
-        if hermitian and u is w:
-            g = g + np.dot(s1.T, (2.0 * coef.real) * ur.T)
-            continue
-        p = np.dot(v.conj(), ur).reshape(1, n * m)                # (a, i)
-        s2 = np.dot(p, t4_aijb).reshape(m, n)                     # (j, b)
-        m1 = np.dot(s1.T, coef * ur.T)                            # (a, r)
-        m2 = np.dot(s2.T.conj(), np.conj(coef) * wr.T.conj())     # (b, s)
-        g = g + m1 + m2
-    return g
+    ur = u.reshape(k, m).conj()
+    wr = w.reshape(k, m)
+    q = np.dot(v, wr).reshape(n * m, 1)                           # (b, j)
+    s1 = np.dot(t4_iabj, q).reshape(m, n)                         # (i, a)
+    if hermitian and u is w:
+        return np.dot(s1.T, (2.0 * coef.real) * ur.T)
+    p = np.dot(v.conj(), ur).reshape(1, n * m)                    # (a, i)
+    s2 = np.dot(p, t4_aijb).reshape(m, n)                         # (j, b)
+    m1 = np.dot(s1.T, coef * ur.T)                                # (a, r)
+    m2 = np.dot(s2.T.conj(), np.conj(coef) * wr.T.conj())         # (b, s)
+    return m1 + m2
 
 
 def _retract(a: np.ndarray) -> np.ndarray:
@@ -233,60 +225,59 @@ def _retract(a: np.ndarray) -> np.ndarray:
 
 
 def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
-                 objective, cfg: SeeSawConfig, maximize: bool = True):
-    """Optimize objective(compress_tensor(t4, V)) over orthonormal frames V.
+                 objective, cfg: SeeSawConfig):
+    """Maximize objective(compress_tensor(t4, V)) over orthonormal frames V.
 
-    ``objective(C) -> (value, terms)`` must solve the inner problem exactly
-    and return the differential data for :func:`_frame_gradient`.  The start
+    ``objective(C) -> (value, term)`` must solve the inner problem exactly
+    and return the differential term for :func:`_frame_gradient`.  The start
     frame is a Haar draw (:func:`random_isometry`, LAPACK QR); every trial
     step V + tG is mapped back by the Gram-Schmidt :func:`_retract`, exact
     to rounding since cond(V + tG) <= sqrt(2).  Returns a RestartOutcome
-    whose payload is (V, value-attaining terms).
+    whose payload is (V, value-attaining term).
     """
-    sign = 1.0 if maximize else -1.0
     layouts = _gradient_layouts(t4)
 
     def evaluate(v):
         return objective(compress_tensor(t4, v))
 
-    def direction(v, terms):
-        g = sign * _frame_gradient(layouts, v, terms)
+    def direction(v, term):
+        g = _frame_gradient(layouts, v, term)
         # project onto the tangent space of the Stiefel manifold
         a = v.conj().T @ g
         return g - v @ ((a + a.conj().T) / 2.0)
 
     v = random_isometry(t4.shape[1], k, rng)
-    val, terms = evaluate(v)
-    step = projected_step(evaluate, direction, _retract, 0.25, 1e-15, sign)
-    return ascend(val, (v, terms), step, cfg, sign)
+    val, term = evaluate(v)
+    step = projected_step(evaluate, direction, _retract, 0.25, 1e-15)
+    return ascend(val, (v, term), step, cfg)
 
 
 def frame_search(X: BipartiteOperator, k: int, objective, cfg: SeeSawConfig,
-                 maximize: bool = True, single_vector: bool = True):
-    """Optimize ``objective`` (as for :func:`frame_ascent`) over the
+                 single_vector: bool = True):
+    """Maximize ``objective`` (as for :func:`frame_ascent`) over the
     compressions of X by k-dimensional right frames, restarted through
     :func:`run_restarts`.
 
     Returns (best, outcomes) as :func:`run_restarts` does, with the payload
     of ``best`` replaced by (frame, vectors): the best restart's Frame and the
-    attaining vectors of the first term, u (and w unless ``single_vector``),
+    attaining vectors of its term, u (and w unless ``single_vector``),
     as PureStates of C^m (x) C^n.  The rank constraint is vacuous when k = n,
     or when k = m and one vector is sought; then the objective is solved once
     on X.mat, with no restarts (``outcomes`` is empty) and no frame (None).
     """
     m, n = X.dims
     if k == n or (single_vector and k == m):
-        value, terms = objective(X.mat)
+        value, term = objective(X.mat)
         best, outcomes, v = RestartOutcome(value, None, [value], True), [], None
     else:
         t4 = X.blocks()
 
         def worker(_r: int, rng: np.random.Generator) -> RestartOutcome:
-            return frame_ascent(t4, k, rng, objective, cfg, maximize=maximize)
+            return frame_ascent(t4, k, rng, objective, cfg)
 
-        best, outcomes = run_restarts(worker, cfg, minimize=not maximize)
-        v, terms = best.payload
-    _, u, w = terms[0]
+        best, outcomes = run_restarts(worker, cfg)
+        v, term = best.payload
+    _, u, w = term
     vectors = tuple(PureState((m, n), x if v is None else lift_from_frame(x, v, m))
                     for x in ((u,) if single_vector else (u, w)))
     frame = None if v is None else Frame(vectors=v.T.copy())

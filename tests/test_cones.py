@@ -56,6 +56,20 @@ def test_swap_block_positivity():
         assert attained == pytest.approx(v2.min_value, abs=1e-9)
 
 
+def test_best_restart_is_the_smallest_minimum():
+    # the search ascends -lambda_min, so the best restart must be the one
+    # whose minimum is smallest; the short budget keeps the restarts apart
+    rng = RandomConfig(seed=42).generator()
+    a = complex_gaussian(rng, (9, 9))
+    op = BipartiteOperator(dims=(3, 3), mat=(a + a.conj().T) / 2)
+    cfg = _cfg(43, restarts=6, max_iters=4)
+    singles = [k_block_positivity(op, 1, SeeSawConfig(
+        restarts=1, max_iters=cfg.max_iters, rng=cfg.rng.stream(r))).min_value
+        for r in range(cfg.restarts)]
+    assert max(singles) - min(singles) > 1e-3
+    assert k_block_positivity(op, 1, cfg).min_value == min(singles)
+
+
 def test_full_k_agrees_with_min_eig():
     rng = RandomConfig(seed=4).generator()
     for _ in range(10):

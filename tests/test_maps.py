@@ -340,6 +340,15 @@ def test_contraction_test_precondition_enforced():
     assert res.detected
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_contraction_test_rejects_bad_k_with_a_bound(k):
+    # with a certified bound no norm search runs to reject a bad k; k = -3
+    # used to report a detection with SN >= -2
+    det = detection_map(reduction_map(3, 0.5), _cfg(29, restarts=2))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        sn_contraction_test(fixtures.isotropic(0.9, 3), det, k, norm_bound=1.0)
+
+
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -5.0])
 def test_contraction_test_rejects_bad_norm_bound(bound):
     # such a bound used to skip the precondition: the transpose, which fails

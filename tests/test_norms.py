@@ -263,7 +263,7 @@ def test_hermitian_objective_is_spectral_radius():
         for shift in (-3.0, -0.5, 0.0, 0.5, 3.0):
             c = _random_hermitian((1, d), rng, shift).mat
             evals = np.linalg.eigvalsh(c)
-            val, [(coef, u, w)] = _hermitian_objective(c)
+            val, (coef, u, w) = _hermitian_objective(c)
             assert val == pytest.approx(np.max(np.abs(evals)), abs=1e-12)
             assert val >= _numerical_radius_attain(c, 32, 1e-8)[0] - 1e-12
             top_wins = evals[-1] >= -evals[0]

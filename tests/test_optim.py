@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schmidt_norms import maps, norms
+from schmidt_norms import cones, maps, norms
 from schmidt_norms.linalg import BipartiteOperator
 from schmidt_norms.optim import (
     RestartOutcome,
@@ -75,19 +75,17 @@ def test_frame_gradient_matches_finite_differences():
     v = random_isometry(n, k, rng)
     terms = [(complex_gaussian(rng, ()), complex_gaussian(rng, (k * m,)),
               complex_gaussian(rng, (k * m,))) for _ in range(3)]
-
-    def f(vv):
-        c = compress_tensor(t4, vv)
-        return sum(float(np.real(coef * (u.conj() @ c @ w)))
-                   for coef, u, w in terms)
-
-    g = _frame_gradient(_gradient_layouts(t4), v, terms)
     eps = 1e-6
-    for _ in range(5):
-        d = complex_gaussian(rng, (n, k))
-        fd = (f(v + eps * d) - f(v - eps * d)) / (2 * eps)
-        analytic = float(np.real(np.sum(g.conj() * d)))
-        assert abs(fd - analytic) < 1e-6 * max(1.0, abs(fd))
+    for coef, u, w in terms:
+        def f(vv):
+            return float(np.real(coef * (u.conj() @ compress_tensor(t4, vv) @ w)))
+
+        g = _frame_gradient(_gradient_layouts(t4), v, (coef, u, w))
+        for _ in range(5):
+            d = complex_gaussian(rng, (n, k))
+            fd = (f(v + eps * d) - f(v - eps * d)) / (2 * eps)
+            analytic = float(np.real(np.sum(g.conj() * d)))
+            assert abs(fd - analytic) < 1e-6 * max(1.0, abs(fd))
 
 
 def test_hermitian_single_vector_gradient_is_the_two_product_sum():
@@ -102,10 +100,10 @@ def test_hermitian_single_vector_gradient_is_the_two_product_sum():
         v = random_isometry(n, k, rng)
         for coef in (1.0 + 0.0j, -1.0 + 0.0j, complex_gaussian(rng, ())):
             u = complex_gaussian(rng, (k * m,))
-            terms = [(coef, u, u)]
-            g = _frame_gradient(layouts, v, terms)
-            assert np.max(np.abs(g - _frame_gradient(general, v, terms))) < 1e-14
-            assert np.max(np.abs(g - _frame_gradient(layouts, v, [(coef, u, u.copy())]))) < 1e-14
+            term = (coef, u, u)
+            g = _frame_gradient(layouts, v, term)
+            assert np.max(np.abs(g - _frame_gradient(general, v, term))) < 1e-14
+            assert np.max(np.abs(g - _frame_gradient(layouts, v, (coef, u, u.copy())))) < 1e-14
     assert _gradient_layouts(complex_gaussian(rng, (2, 3, 2, 3)))[2] is False
 
 
@@ -122,13 +120,30 @@ def test_frame_gradient_non_hermitian_unit_coefficient_matches_fd():
     def f(vv):
         return float(np.real(coef * (u.conj() @ compress_tensor(t4, vv) @ u)))
 
-    g = _frame_gradient(_gradient_layouts(t4), v, [(coef, u, u)])
+    g = _frame_gradient(_gradient_layouts(t4), v, (coef, u, u))
     eps = 1e-6
     for _ in range(5):
         d = complex_gaussian(rng, (n, k))
         fd = (f(v + eps * d) - f(v - eps * d)) / (2 * eps)
         analytic = float(np.real(np.sum(g.conj() * d)))
         assert abs(fd - analytic) < 1e-6 * max(1.0, abs(fd))
+
+
+def test_frame_objective_value_is_its_term_form():
+    # each objective's value is Re(coef u^dagger C w) of the term it returns,
+    # so the ascent climbs the value the gradient term differentiates; the
+    # eigh-based objectives take Hermitian compressions only
+    rng = _rng(11)
+    general = (norms._opnorm_objective, norms._numrad_objective)
+    hermitian = general + (norms._hermitian_objective, cones._neg_mineig_objective)
+    for d in (1, 2, 4, 6):
+        for shift in (-3.0, 0.0, 3.0):
+            h = random_hermitian(d, rng) + shift * np.eye(d)
+            c = complex_gaussian(rng, (d, d))
+            for objective, mat in ([(f, h) for f in hermitian]
+                                   + [(f, c) for f in general]):
+                val, (coef, u, w) = objective(mat)
+                assert abs(val - np.real(coef * (u.conj() @ mat @ w))) < 1e-12
 
 
 def test_retract_is_the_phase_fixed_qr_factor():
@@ -156,7 +171,7 @@ def test_frame_ascent_history_monotone():
     def objective(c):
         vals, vecs = np.linalg.eigh((c + c.conj().T) / 2)
         top = vecs[:, -1]
-        return float(vals[-1]), [(1.0, top, top)]
+        return float(vals[-1]), (1.0, top, top)
 
     cfg = SeeSawConfig(max_iters=100, rng=RandomConfig(seed=5))
     out = frame_ascent(t4, 2, rng, objective, cfg)
@@ -180,10 +195,11 @@ def test_run_restarts_deterministic_and_best():
     assert [o.value for o in outs1] == [o.value for o in outs2]
 
 
-def test_run_restarts_minimize():
-    cfg = SeeSawConfig(restarts=8, rng=RandomConfig(seed=7))
-    best, outs = run_restarts(_value_worker, cfg, minimize=True)
-    assert best.value == min(o.value for o in outs)
+def test_run_restarts_ties_go_to_the_first_restart():
+    cfg = SeeSawConfig(restarts=5, rng=RandomConfig(seed=7))
+    best, outs = run_restarts(
+        lambda idx, rng: RestartOutcome(1.5, idx, [1.5], True), cfg)
+    assert best.payload == 0 and best is outs[0]
 
 
 def test_seesaw_config_rejects_bad_budget():
@@ -207,26 +223,27 @@ def test_ascend_stops_converged_when_no_move():
     assert step(1.0, (np.ones(2), None)) is None
 
 
-def test_ascend_stops_converged_on_small_descent_gain():
+def test_ascend_stops_converged_on_small_gain():
+    # a minimum searched as the ascent of negated values, as in
+    # k_block_positivity
     cfg = SeeSawConfig(max_iters=10, obj_tol=1e-9)
-    values = iter([5.0, 5.0 - 1e-12, 1.0])
+    values = iter([-5.0, -(5.0 - 1e-12), -1.0])
 
     def step(value, state):
-        new = next(values)
-        return [new], new, state + 1
+        return next(values), state + 1
 
-    out = ascend(10.0, 0, step, cfg, sign=-1.0)
+    out = ascend(-10.0, 0, step, cfg)
     assert out.converged is True
-    assert out.history == [10.0, 5.0, 5.0 - 1e-12]
-    assert out.value == 5.0 - 1e-12 and out.payload == 2
+    assert out.history == [-10.0, -5.0, -(5.0 - 1e-12)]
+    assert out.value == -(5.0 - 1e-12) and out.payload == 2
     # a gain equal to obj_tol is not below it: the budget runs out instead
-    out = ascend(10.0, 0, lambda value, state: ([value - 2.0], value - 2.0, state),
-                 SeeSawConfig(max_iters=3, obj_tol=2.0), sign=-1.0)
-    assert out.history == [10.0, 8.0, 6.0, 4.0] and out.converged is False
+    out = ascend(-10.0, 0, lambda value, state: (value + 2.0, state),
+                 SeeSawConfig(max_iters=3, obj_tol=2.0))
+    assert out.history == [-10.0, -8.0, -6.0, -4.0] and out.converged is False
 
 
 def test_ascend_zero_budget_is_unconverged():
-    out = ascend(3.0, None, lambda value, state: ([value + 1], value + 1, state),
+    out = ascend(3.0, None, lambda value, state: (value + 1, state),
                  SeeSawConfig(max_iters=0))
     assert out.history == [3.0]
     assert out.converged is False
