@@ -94,9 +94,15 @@ def _seed(args) -> int:
     return 0
 
 
-def _seesaw_cfg(args) -> SeeSawConfig:
-    return SeeSawConfig(restarts=args.restarts, max_iters=args.max_iters,
-                        obj_tol=args.tol, rng=RandomConfig(seed=_seed(args)))
+def _seesaw_params(args) -> dict:
+    return {"k": args.k, "seed": _seed(args), "restarts": args.restarts,
+            "max_iters": args.max_iters, "tol": args.tol}
+
+
+def _seesaw_cfg(params: dict) -> SeeSawConfig:
+    """The search budget that a report's ``parameters`` record."""
+    return SeeSawConfig(restarts=params["restarts"], max_iters=params["max_iters"],
+                        obj_tol=params["tol"], rng=RandomConfig(seed=params["seed"]))
 
 
 def _oracle_cfg(args) -> OracleConfig:
@@ -147,39 +153,37 @@ def _dump_certificate(cert, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _seesaw_params(args) -> dict:
-    return {"k": args.k, "seed": _seed(args), "restarts": args.restarts,
-            "max_iters": args.max_iters, "tol": args.tol}
-
-
 def _handle_norm(args):
     inputs = {"file": _digest(args.file)}
     op = load_bipartite(read_json(args.file))
-    cfg = _seesaw_cfg(args)  # validates the budget flags of every variant
+    params = _seesaw_params(args)
+    cfg = _seesaw_cfg(params)  # validates the budget flags of every variant
     if args.variant == "maxspace":  # closed forms: no seed or budget shapes it
         lower, upper = maxk_space_norm_bounds(op, args.k)
         result = {"lower": _dump_estimate(lower), "upper": _dump_estimate(upper)}
         return inputs, {"k": args.k}, result, 0
     fn = {"sk": sk_norm, "omin": omin_norm, "minorder": min_order_norm}[args.variant]
-    return inputs, _seesaw_params(args), _dump_estimate(fn(op, args.k, cfg)), 0
+    return inputs, params, _dump_estimate(fn(op, args.k, cfg)), 0
 
 
 def _handle_cone_blockpos(args):
     inputs = {"file": _digest(args.file)}
     op = load_bipartite(read_json(args.file))
-    verdict = k_block_positivity(op, args.k, _seesaw_cfg(args))
+    params = _seesaw_params(args)
+    verdict = k_block_positivity(op, args.k, _seesaw_cfg(params))
     code = 2 if verdict.status == "refuted" else 0
-    return inputs, _seesaw_params(args), _dump_verdict(verdict), code
+    return inputs, params, _dump_verdict(verdict), code
 
 
 def _handle_cone_witness(args):
     inputs = {"witness": _digest(args.witness), "state": _digest(args.state)}
     w = load_bipartite(read_json(args.witness))
     rho = load_bipartite(read_json(args.state))
-    cert = witness_check(w, rho, args.k, _seesaw_cfg(args))
+    params = _seesaw_params(args)
+    cert = witness_check(w, rho, args.k, _seesaw_cfg(params))
     result = _dump_certificate(
         cert, sn_lower_bound=cert.k + 1 if cert.valid else None)
-    return inputs, _seesaw_params(args), result, 2 if cert.valid else 0
+    return inputs, params, result, 2 if cert.valid else 0
 
 
 def _handle_cone_verify_sn(args):
@@ -192,8 +196,8 @@ def _handle_cone_verify_sn(args):
 
 
 def _handle_map(args):
-    cfg = _seesaw_cfg(args)
     params = _seesaw_params(args)
+    cfg = _seesaw_cfg(params)
     if args.variant == "detect":
         inputs = {"state": _digest(args.state), "map": _digest(args.map)}
         rho = load_bipartite(read_json(args.state))
@@ -246,10 +250,13 @@ def _recheck_blockpos(report: dict, args):
     if args.file is None:
         raise _CliError("recheck of %r needs --file" % report["command"])
     obj = read_json(args.file)
-    mat = load_map(obj).choi.mat if report["command"] == "map kpos" \
-        else load_bipartite(obj).mat
+    op = load_map(obj).choi if report["command"] == "map kpos" \
+        else load_bipartite(obj)
     wit = load_state(report["result"]["witness_vector"])
-    value = float(np.real(wit.amplitudes.conj() @ mat @ wit.amplitudes))
+    if wit.dims != op.dims:
+        raise _CliError("witness vector dims %r do not match the dims %r of %r"
+                        % (wit.dims, op.dims, args.file))
+    value = float(np.real(wit.amplitudes.conj() @ op.mat @ wit.amplitudes))
     return value, "min_value", {"file": _digest(args.file)}
 
 
@@ -289,11 +296,10 @@ def _recheck_detect(report: dict, args):
     psi = load_map(read_json(args.map))
     rho = load_bipartite(read_json(args.state))
     p = _report_field(report, "parameters", dict)
-    cfg = SeeSawConfig(restarts=_report_field(p, "restarts"),
-                       max_iters=_report_field(p, "max_iters"),
-                       obj_tol=_report_field(p, "tol", (int, float)),
-                       rng=RandomConfig(seed=_report_field(p, "seed")))
-    det = detection_map(psi, cfg)
+    for name in ("restarts", "max_iters", "seed"):
+        _report_field(p, name)
+    _report_field(p, "tol", (int, float))
+    det = detection_map(psi, _seesaw_cfg(p))
     value = trace_norm(idk_apply(det, rho.mat, rho.m))
     inputs = {"map": _digest(args.map), "state": _digest(args.state)}
     return value, "trace_norm_value", inputs

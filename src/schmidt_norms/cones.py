@@ -80,6 +80,8 @@ class SchmidtEnsemble:
     k: int
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
         if not self.terms:
             raise ValueError("ensemble needs at least one term")
         dims = self.terms[0][1].dims

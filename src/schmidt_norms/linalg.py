@@ -203,10 +203,11 @@ def dagger(x) -> np.ndarray:
     return _as_complex(x).conj().T
 
 
-def is_hermitian(x, tol: float = HERM_TOL) -> bool:
+def is_hermitian(x) -> bool:
+    """Square and equal to its adjoint within HERM_TOL, entry by entry."""
     x = _as_complex(x)
     return x.ndim == 2 and x.shape[0] == x.shape[1] and \
-        np.max(np.abs(x - x.conj().T)) <= tol
+        np.max(np.abs(x - x.conj().T)) <= HERM_TOL
 
 
 def _check_k(X: BipartiteOperator, k: int) -> None:
@@ -230,13 +231,13 @@ def trace_norm(x) -> float:
     return float(np.sum(np.linalg.svd(x, compute_uv=False)))
 
 
-def min_eig_hermitian(x, tol: float = HERM_TOL) -> float:
+def min_eig_hermitian(x) -> float:
     """Smallest eigenvalue of a Hermitian matrix; rejects non-Hermitian input."""
     x = _as_complex(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("min_eig_hermitian expects a square matrix")
-    if not is_hermitian(x, tol):
-        raise ValueError("matrix is not Hermitian within %g" % tol)
+    if not is_hermitian(x):
+        raise ValueError("matrix is not Hermitian within HERM_TOL = %g" % HERM_TOL)
     h = (x + x.conj().T) / 2.0
     return float(np.linalg.eigvalsh(h)[0])
 
@@ -311,10 +312,10 @@ def schmidt_decompose(state: PureState) -> SchmidtDecomposition:
     return SchmidtDecomposition(coeffs=s, left=u.T.copy(), right=vh.copy())
 
 
-def schmidt_rank(state: PureState, rank_tol: float = RANK_TOL) -> int:
-    """Number of Schmidt coefficients above ``rank_tol``."""
+def schmidt_rank(state: PureState) -> int:
+    """Number of Schmidt coefficients above RANK_TOL."""
     s = np.linalg.svd(state.matrix_form(), compute_uv=False)
-    return int(np.sum(s > rank_tol))
+    return int(np.sum(s > RANK_TOL))
 
 
 def _truncate_vec(vec: np.ndarray, m: int, n: int, k: int) -> np.ndarray:

@@ -118,14 +118,15 @@ class MapRepr:
     def is_hermiticity_preserving(self) -> bool:
         return is_hermitian(self.choi.mat)
 
-    def is_cp(self, tol: float = EVAL_TOL) -> bool:
+    def is_cp(self) -> bool:
+        """Choi matrix Hermitian with no eigenvalue below -EVAL_TOL."""
         return (is_hermitian(self.choi.mat)
-                and min_eig_hermitian(self.choi.mat) >= -tol)
+                and min_eig_hermitian(self.choi.mat) >= -EVAL_TOL)
 
-    def is_trace_preserving(self, tol: float = UNIT_TOL) -> bool:
-        # trace-preserving iff Tr Phi(|i><j|) = delta_ij
+    def is_trace_preserving(self) -> bool:
+        """Tr Phi(|i><j|) = delta_ij within UNIT_TOL, entry by entry."""
         red = np.einsum("iaja->ij", self.j4())
-        return bool(np.max(np.abs(red - np.eye(self.in_dim))) <= tol)
+        return bool(np.max(np.abs(red - np.eye(self.in_dim))) <= UNIT_TOL)
 
 
 def identity_map(n: int) -> MapRepr:

@@ -74,6 +74,14 @@ def _grid(obj: dict, field: str, rows: int, cols: int) -> np.ndarray:
     return _numbers(raw, field)
 
 
+def _dims(obj: dict, first: str, second: str) -> tuple[int, int]:
+    """The positive integer fields ``first`` and ``second``."""
+    a, b = _need(obj, first, int), _need(obj, second, int)
+    if a < 1 or b < 1:
+        raise FormatError("field %r/%r must be positive" % (first, second))
+    return a, b
+
+
 def load_matrix(obj: dict) -> np.ndarray:
     rows = _need(obj, "rows", int)
     cols = _need(obj, "cols", int)
@@ -89,10 +97,7 @@ def load_matrix(obj: dict) -> np.ndarray:
 
 def load_bipartite(obj: dict) -> BipartiteOperator:
     mat = load_matrix(obj)
-    m = _need(obj, "m", int)
-    n = _need(obj, "n", int)
-    if m < 1 or n < 1:
-        raise FormatError("field 'm'/'n' must be positive")
+    m, n = _dims(obj, "m", "n")
     if mat.shape != (m * n, m * n):
         raise FormatError("field 'm'/'n': product %d does not match matrix size %d"
                           % (m * n, mat.shape[0]))
@@ -100,8 +105,7 @@ def load_bipartite(obj: dict) -> BipartiteOperator:
 
 
 def load_map(obj: dict) -> MapRepr:
-    r = _need(obj, "in_dim", int)
-    n = _need(obj, "out_dim", int)
+    r, n = _dims(obj, "in_dim", "out_dim")
     if "m" in obj or "n" in obj:
         if obj.get("m", r) != r or obj.get("n", n) != n:
             raise FormatError("field 'm'/'n' must match 'in_dim'/'out_dim'")
@@ -129,19 +133,14 @@ def _state(obj: dict, m: int, n: int) -> PureState:
 
 
 def load_state(obj: dict) -> PureState:
-    m = _need(obj, "m", int)
-    n = _need(obj, "n", int)
-    if m < 1 or n < 1:
-        raise FormatError("field 'm'/'n' must be positive")
-    return _state(obj, m, n)
+    return _state(obj, *_dims(obj, "m", "n"))
 
 
 def load_ensemble(obj: dict) -> SchmidtEnsemble:
-    m = _need(obj, "m", int)
-    n = _need(obj, "n", int)
-    if m < 1 or n < 1:
-        raise FormatError("field 'm'/'n' must be positive")
+    m, n = _dims(obj, "m", "n")
     k = _need(obj, "k", int)
+    if k < 1:
+        raise FormatError("field 'k' must be >= 1")
     terms = _need(obj, "terms")
     if not isinstance(terms, list) or not terms:
         raise FormatError("field 'terms' must be a nonempty list")

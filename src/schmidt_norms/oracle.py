@@ -7,9 +7,11 @@ contractions are reimplemented locally), so agreement between the two code
 paths is evidence that both converged.
 
 All values are one-sided (lower bounds for suprema, upper bounds for
-infima).  Each estimator can also return its running-max (resp. running-min)
-curve over the sample index, which is nondecreasing (nonincreasing) by
-construction.
+infima).  The polish budgets are fixed: ``brute_sk_norm``,
+``brute_block_min`` and ``brute_min_order`` polish their top 512 samples;
+``brute_omin`` and ``brute_idk_norm`` draw ``max(1, samples // 100)``
+frames (unitaries) and polish the top 32 of them.  Either pool is all
+the draws when there are fewer.
 
 Every polish loop evaluates its objective once per step: the evaluation of
 the accepted candidates (their vectors, norms, values and the matrix
@@ -38,26 +40,22 @@ __all__ = [
 # Rows per block of the sampling-stage pairings: their temporaries stay at
 # 0.5 MB for m*n = 16, whatever the sample count.
 _SAMPLE_BLOCK = 2048
+# Top samples that get the gradient polish in the three Schmidt-vector oracles.
+_POOL = 512
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Sampling and polish budget.
-
-    ``pool`` is how many top samples get the gradient polish in
-    ``brute_sk_norm``, ``brute_block_min`` and ``brute_min_order``.
-    ``brute_omin`` and ``brute_idk_norm`` ignore ``pool``: they draw
-    ``max(1, samples // 100)`` frames (unitaries) and polish the top 32 of
-    them, or all of them when there are fewer."""
+    """Sampling and polish budget: ``samples`` random draws, then
+    ``polish_steps`` steps on the best of them (see the module docstring)."""
 
     samples: int = 20000
     polish_steps: int = 200
     rng: RandomConfig = field(default_factory=RandomConfig)
-    pool: int = 512
 
     def __post_init__(self):
-        if self.samples < 1 or self.pool < 1 or self.polish_steps < 0:
-            raise ValueError("need samples >= 1, pool >= 1 and polish_steps >= 0")
+        if self.samples < 1 or self.polish_steps < 0:
+            raise ValueError("need samples >= 1 and polish_steps >= 0")
 
 
 def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
@@ -149,11 +147,10 @@ def _pair_value(xm: np.ndarray, av, bv, aw, bw):
     return f, dict(uv=uv, uw=uw, nv=nv, nw=nw, g=g, xw=xw, vx=vx)
 
 
-def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None,
-                  return_curve: bool = False):
+def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None):
     """Sampled lower bound on sup |<v|X|w>| over Schmidt-rank-<=k unit pairs.
 
-    Gradient polish runs on the Schmidt parameters (A, B) of the top pool,
+    Gradient polish runs on the Schmidt parameters (A, B) of the top samples,
     with per-sample adaptive steps and rollback.
     """
     cfg = cfg or OracleConfig()
@@ -164,9 +161,8 @@ def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None,
     av, bv, v = _rank_k_vectors(rng, cfg.samples, m, n, k)
     aw, bw, w = _rank_k_vectors(rng, cfg.samples, m, n, k)
     vals = np.abs(_pairings(v, xm, w))
-    curve = np.maximum.accumulate(vals)
 
-    pool = min(cfg.pool, cfg.samples)
+    pool = min(_POOL, cfg.samples)
     top = np.argsort(vals)[-pool:]
     params = {"av": av[top], "bv": bv[top], "aw": aw[top], "bw": bw[top]}
     state = _PolishState(params, *_pair_value(xm, **params))
@@ -183,8 +179,7 @@ def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None,
         gaw, gbw = _ab_grad(gw.reshape(-1, m, n), p["aw"], p["bw"])
         cand = state.propose({"av": gav, "bv": gbv, "aw": gaw, "bw": gbw})
         state.accept(cand, *_pair_value(xm, **cand), np.greater)
-    value = float(max(curve[-1], state.values.max()))
-    return (value, curve) if return_curve else value
+    return float(max(vals.max(), state.values.max()))
 
 
 def _quad_value(xm: np.ndarray, a, b) -> dict:
@@ -197,8 +192,7 @@ def _quad_value(xm: np.ndarray, a, b) -> dict:
     return rec
 
 
-def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None,
-                    return_curve: bool = False):
+def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None):
     """Sampled upper bound on min <v|X|v> over Schmidt-rank-<=k unit vectors."""
     cfg = cfg or OracleConfig()
     _check_k(X, k)
@@ -209,13 +203,12 @@ def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
     rng = cfg.rng.generator()
     a, b, v = _rank_k_vectors(rng, cfg.samples, m, n, k)
     vals = _pairings(v, xm, v).real
-    curve = np.minimum.accumulate(vals)
 
     def evaluate(params):
         rec = _quad_value(xm, **params)
         return rec["g"].real / rec["nsq"], rec
 
-    pool = min(cfg.pool, cfg.samples)
+    pool = min(_POOL, cfg.samples)
     top = np.argsort(vals)[:pool]
     params = {"a": a[top], "b": b[top]}
     state = _PolishState(params, *evaluate(params))
@@ -226,12 +219,10 @@ def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
         ga, gb = _ab_grad(gu.reshape(-1, m, n), p["a"], p["b"])
         cand = state.propose({"a": ga, "b": gb})
         state.accept(cand, *evaluate(cand), np.less)
-    value = float(min(curve[-1], state.values.min()))
-    return (value, curve) if return_curve else value
+    return float(min(vals.min(), state.values.min()))
 
 
-def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None,
-                    return_curve: bool = False):
+def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None):
     """Sampled lower bound on sup |<v|X|v>| over Schmidt-rank-<=k unit
     vectors (the order-norm objective; X need not be Hermitian)."""
     cfg = cfg or OracleConfig()
@@ -241,14 +232,13 @@ def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
     rng = cfg.rng.generator()
     a, b, v = _rank_k_vectors(rng, cfg.samples, m, n, k)
     vals = np.abs(_pairings(v, xm, v))
-    curve = np.maximum.accumulate(vals)
 
     def evaluate(params):
         rec = _quad_value(xm, **params)
         rec["ux"] = rec["u"] @ xm.conj()  # X^dagger u, for the gradient
         return np.abs(rec["g"]) / rec["nsq"], rec
 
-    pool = min(cfg.pool, cfg.samples)
+    pool = min(_POOL, cfg.samples)
     top = np.argsort(vals)[-pool:]
     params = {"a": a[top], "b": b[top]}
     state = _PolishState(params, *evaluate(params))
@@ -263,8 +253,7 @@ def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
         ga, gb = _ab_grad(gu.reshape(-1, m, n), p["a"], p["b"])
         cand = state.propose({"a": ga, "b": gb})
         state.accept(cand, *evaluate(cand), np.greater)
-    value = float(max(curve[-1], state.values.max()))
-    return (value, curve) if return_curve else value
+    return float(max(vals.max(), state.values.max()))
 
 
 def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
@@ -289,8 +278,7 @@ def _frame_compressions(xt: np.ndarray, frames: np.ndarray, m: int) -> np.ndarra
     return c.reshape(count, m * k, m * k)
 
 
-def brute_omin(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None,
-               return_curve: bool = False):
+def brute_omin(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None):
     """Sampled lower bound on sup over orthonormal frames of the operator
     norm of the frame compression, polished by random tangent perturbations."""
     cfg = cfg or OracleConfig()
@@ -301,7 +289,6 @@ def brute_omin(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None,
     count = max(1, cfg.samples // 100)
     frames = _phase_fixed_qr(_cgauss(rng, (count, n, k)))
     vals = np.linalg.svd(_frame_compressions(xt, frames, m), compute_uv=False)[:, 0]
-    curve = np.maximum.accumulate(vals)
 
     pool_n = min(32, count)
     order = np.argsort(vals)[-pool_n:]
@@ -317,12 +304,10 @@ def brute_omin(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None,
         best_vals = np.where(mask, cv, best_vals)
         steps = np.where(mask, steps * 1.2, steps * 0.7)
         steps = np.maximum(steps, 1e-6)
-    value = float(max(curve[-1], best_vals.max()))
-    return (value, curve) if return_curve else value
+    return float(max(vals.max(), best_vals.max()))
 
 
-def brute_idk_norm(phi, k: int, cfg: OracleConfig | None = None,
-                   return_curve: bool = False):
+def brute_idk_norm(phi, k: int, cfg: OracleConfig | None = None):
     """Sampled lower bound on ||id_k (x) Phi||: random unitaries (extreme
     points of the unit ball), then multiplicative polish along the unitary
     group by gradient retraction."""
@@ -347,7 +332,6 @@ def brute_idk_norm(phi, k: int, cfg: OracleConfig | None = None,
     count = max(1, cfg.samples // 100)
     us = _phase_fixed_qr(_cgauss(rng, (count, d, d)))
     vals = np.linalg.svd(apply_idk(us), compute_uv=False)[:, 0]
-    curve = np.maximum.accumulate(vals)
 
     pool_n = min(32, count)
     order = np.argsort(vals)[-pool_n:]
@@ -373,5 +357,4 @@ def brute_idk_norm(phi, k: int, cfg: OracleConfig | None = None,
         w_top = np.where(mask[:, None], cw_top, w_top)
         steps = np.where(mask, np.minimum(steps * 1.2, 1.0), steps * 0.5)
         steps = np.maximum(steps, 1e-7)
-    value = float(max(curve[-1], best_vals.max()))
-    return (value, curve) if return_curve else value
+    return float(max(vals.max(), best_vals.max()))

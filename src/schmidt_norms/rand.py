@@ -102,14 +102,13 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def random_cptp(in_dim: int, out_dim: int, rng: np.random.Generator,
-                env_dim: int | None = None) -> BipartiteOperator:
+def random_cptp(in_dim: int, out_dim: int, rng: np.random.Generator) -> BipartiteOperator:
     """Choi matrix of a Haar-random CPTP map, via a Stinespring isometry
-    V : C^in -> C^out (x) C^env.  The Choi lives on C^in (x) C^out and its
-    partial trace over the output factor is the in_dim identity."""
-    env = out_dim if env_dim is None else env_dim
-    v = random_isometry(out_dim * env, in_dim, rng)
-    kraus = v.reshape(out_dim, env, in_dim)
+    V : C^in -> C^out (x) C^out (the environment is as large as the output).
+    The Choi lives on C^in (x) C^out and its partial trace over the output
+    factor is the in_dim identity."""
+    v = random_isometry(out_dim * out_dim, in_dim, rng)
+    kraus = v.reshape(out_dim, out_dim, in_dim)
     # J[i,a,j,b] = sum_e A_e[a,i] conj(A_e[b,j])
     j4 = np.einsum("aei,bej->iajb", kraus, kraus.conj())
     mat = j4.reshape(in_dim * out_dim, in_dim * out_dim)

@@ -365,3 +365,32 @@ def test_recheck_rejects_malformed_witness_vector(workdir, capsys, corrupt):
     assert code == 1
     assert recheck is None
     assert ("'re'" if corrupt == "length" else "'im'") in err
+
+
+def test_recheck_rejects_witness_of_other_dims(workdir, capsys):
+    code, report, _ = _run(capsys, [
+        "cone", "blockpos", str(workdir / "swap3.json"), "--k", "2",
+        "--seed", "3", "--restarts", "2"])
+    assert code == 2
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    write_json(str(workdir / "op23.json"),
+               dump_bipartite(BipartiteOperator((2, 3), np.eye(6))))
+    code, recheck, err = _run(capsys, [
+        "oracle", "recheck", "--report", str(rp),
+        "--file", str(workdir / "op23.json")])
+    assert code == 1
+    assert recheck is None
+    assert err.startswith("error:") and "(3, 3)" in err and "(2, 3)" in err
+
+
+def test_verify_sn_ensemble_k0_exit_1(workdir, capsys):
+    ens = dump_ensemble(fixtures.basis_product_ensemble(3, 3))
+    ens["k"] = 0
+    write_json(str(workdir / "ens0.json"), ens)
+    code, report, err = _run(capsys, [
+        "cone", "verify-sn", "--state", str(workdir / "iso9.json"),
+        "--ensemble", str(workdir / "ens0.json")])
+    assert code == 1
+    assert report is None
+    assert err.startswith("error:") and "'k'" in err

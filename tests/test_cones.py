@@ -130,6 +130,12 @@ def test_schmidt_ensemble_validation():
         SchmidtEnsemble(terms=((1.0, ent),), k=1)  # rank above k
 
 
+def test_schmidt_ensemble_rejects_k_below_1():
+    st = PureState(dims=(2, 2), amplitudes=np.array([1.0, 0, 0, 0]))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        SchmidtEnsemble(terms=((1.0, st),), k=0)
+
+
 def test_sn_upper_verify_product_state():
     st = PureState(dims=(2, 2), amplitudes=np.array([1.0, 0, 0, 0]))
     rho = BipartiteOperator(dims=(2, 2),

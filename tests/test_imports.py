@@ -5,6 +5,10 @@ as the base of an attribute access) or lists it in ``__all__`` as a re-export.
 An import inside a function body counts as used only when that function
 (nested functions included) reads the name, and no function body imports a
 ``schmidt_norms`` module: the package has no import cycle to break that way.
+
+The same holds for function parameters: every parameter that a package
+function takes is read by its body, so no caller passes an option that does
+nothing.
 """
 
 import ast
@@ -117,3 +121,40 @@ def test_oracle_independent_of_optimizers():
     imported = _package_modules_imported(tree)
     assert "linalg" in imported  # the scan sees the oracle's own imports
     assert not imported & {"optim", "norms", "cones", "maps"}, imported
+
+
+# (module, function, parameter) triples that are never read, with the reason.
+UNREAD_ALLOWED = {
+    ("cli", "_recheck_witness", "report"):
+        "every recheck handler takes (report, args)",
+    ("norms", "max_order_norm_upper", "cfg"):
+        "the benchmark's order_norms workload passes a config positionally",
+}
+
+
+def _unread_parameters(tree: ast.Module):
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = func.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            # nested functions belong to the body: a closure's read counts
+            read = set().union(*(_read_names(stmt) for stmt in func.body))
+            for param in params:
+                name = param.arg
+                if name != "self" and not name.startswith("_") and name not in read:
+                    yield func.name, name
+
+
+def test_no_unread_parameters():
+    unread, allowed = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, name in _unread_parameters(tree):
+            if (path.stem, func, name) in UNREAD_ALLOWED:
+                allowed.add((path.stem, func, name))
+            else:
+                unread.append("%s.%s: %s" % (path.stem, func, name))
+    assert not unread, "unread parameters: %s" % ", ".join(unread)
+    assert allowed == set(UNREAD_ALLOWED), \
+        "stale exceptions: %s" % (set(UNREAD_ALLOWED) - allowed)

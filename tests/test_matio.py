@@ -94,6 +94,14 @@ def test_map_dimension_check():
         load_map(phi)
 
 
+def test_map_rejects_non_positive_dims():
+    # a 1x1 Choi matrix matches the size check at in_dim = out_dim = -1
+    for dim in (-1, 0):
+        obj = {"in_dim": dim, "out_dim": dim, "rows": 1, "cols": 1, "re": [[1.0]]}
+        with pytest.raises(FormatError, match="'in_dim'"):
+            load_map(obj)
+
+
 def test_ensemble_term_errors_are_indexed():
     rng = RandomConfig(seed=2).generator()
     ens = dump_ensemble(random_schmidt_ensemble((2, 2), 1, 3, rng))
@@ -170,3 +178,10 @@ def test_ensemble_rejects_non_positive_dims():
     for m, n in ((-1, -1), (0, 1), (1, 0)):
         with pytest.raises(FormatError, match="field 'm'/'n' must be positive"):
             load_ensemble({"m": m, "n": n, "k": 1, "terms": [term]})
+
+
+def test_ensemble_rejects_k_below_1():
+    ens = dump_ensemble(fixtures.basis_product_ensemble(2, 2))
+    ens["k"] = 0
+    with pytest.raises(FormatError, match="field 'k'"):
+        load_ensemble(ens)
