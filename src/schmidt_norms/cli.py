@@ -260,11 +260,20 @@ def _recheck_blockpos(report: dict, args):
     return value, "min_value", {"file": _digest(args.file)}
 
 
+def _check_witness_dims(witness_dims, state_dims):
+    """Input error, worded as in ``cone witness``, when a witness and the
+    state it is paired with have different dims."""
+    if witness_dims != state_dims:
+        raise _CliError("witness dims %r do not match state dims %r"
+                        % (witness_dims, state_dims))
+
+
 def _recheck_witness(report: dict, args):
     if args.witness is None or args.state is None:
         raise _CliError("recheck of 'cone witness' needs --witness and --state")
     w = load_bipartite(read_json(args.witness))
     rho = load_bipartite(read_json(args.state))
+    _check_witness_dims(w.dims, rho.dims)
     value = float(np.trace(w.mat @ rho.mat).real)
     inputs = {"witness": _digest(args.witness), "state": _digest(args.state)}
     return value, "pairing", inputs
@@ -273,9 +282,10 @@ def _recheck_witness(report: dict, args):
 def _recheck_kpeb(report: dict, args):
     if args.map is None:
         raise _CliError("recheck of 'map kpeb' needs --map")
-    phi = load_map(read_json(args.map))
-    rho = phi.choi.mat / float(np.trace(phi.choi.mat).real)
+    choi = load_map(read_json(args.map)).choi
     w = load_bipartite(report["result"]["witness_operator"])
+    _check_witness_dims(w.dims, choi.dims)
+    rho = choi.mat / float(np.trace(choi.mat).real)
     value = float(np.trace(w.mat @ rho).real)
     return value, "pairing", {"map": _digest(args.map)}
 

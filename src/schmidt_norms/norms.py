@@ -15,12 +15,16 @@ Norms implemented here:
 * ``min_order_norm`` -- same with the numerical radius of the compression,
                         i.e. sup |<v|X|v>| over Schmidt rank <= k; Hermitian
                         X is solved exactly by one eigh per evaluation.
-* ``max_order_norm_upper`` -- proved Hermitian-split bound in closed form.
+* ``max_order_norm_upper`` -- proved Hermitian-split bound in closed form:
+                        the sum of the one-sided Schmidt-rank radii r_k(H).
+* ``block_positive_decomposition`` -- parts r_k(H) I +- H (plus 1e-8),
+                        k-block positive by proof, with no search.
 * ``dec_norm_value`` -- value of a supplied block-positive decomposition.
-                        The parts of ``block_positive_decomposition`` carry
-                        the (heuristic) witnesses of the searches that sized
-                        them, so they are re-evaluated, not searched again;
-                        a part sum c I has the order norm |c| in closed form.
+                        A part whose closed-form lower bound is >= 0 (every
+                        canonical part) is proved k-block positive; other
+                        parts are searched.  A part sum c I has the order
+                        norm |c| in closed form, so the canonical value is
+                        proved.
 * ``maxk_space_norm_bounds`` -- two-sided bounds for the k-maximal norm in
                         closed form with no search: k-row bands above, the
                         identity and the transpose / min(k, n) below.
@@ -38,11 +42,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cones import BlockPositivityVerdict, k_block_positivity
+from .cones import k_block_positivity
 from .linalg import (
     HERM_TOL,
     RECON_TOL,
-    REFUTE_TOL,
     BipartiteOperator,
     Frame,
     PureState,
@@ -66,7 +69,6 @@ from .rand import random_sr_k_vector
 __all__ = [
     "NormEstimate",
     "Witness",
-    "BlockPositivePart",
     "SeeSawConfig",
     "sk_norm",
     "compress",
@@ -249,21 +251,6 @@ def min_order_norm(X: BipartiteOperator, k: int,
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_radius(h: BipartiteOperator, k: int, cfg: SeeSawConfig):
-    """Best lower bound on sup |<v|h|v>| over SR-<=k unit vectors for a
-    Hermitian operator: the max of the `min_order_norm` ascent and both
-    one-sided block-positivity searches.  The first leg is not redundant: on
-    criterion 5 (5 restarts, config seed 502) it beat both searches on H2 of
-    instance 24 at k = 1 (2.51535 against 2.29279).
-
-    Returns (radius, verdict on h, verdict on -h): the two searches are kept
-    as the block-positivity evidence of the parts t I + h and t I - h."""
-    neg = BipartiteOperator(h.dims, -h.mat)
-    pos_v, neg_v = k_block_positivity(h, k, cfg), k_block_positivity(neg, k, cfg)
-    radius = max(min_order_norm(h, k, cfg).value, -pos_v.min_value, -neg_v.min_value)
-    return radius, pos_v, neg_v
-
-
 def _hermitian_split(X: BipartiteOperator):
     """(H1, H2), both Hermitian, with X = H1 + i H2."""
     return (X.mat + X.mat.conj().T) / 2.0, (X.mat - X.mat.conj().T) / 2.0j
@@ -275,63 +262,53 @@ def _partial_transpose(mat: np.ndarray, dims) -> np.ndarray:
     return mat.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(m * n, m * n)
 
 
+def _schmidt_range(h: np.ndarray, dims, k: int):
+    """Proved (lower, upper) bounds on <v|h|v> over unit v of Schmidt rank
+    <= k, for Hermitian h, from one eigvalsh of h and one of h^Gamma.
+
+    sigma = (|v><v|)^Gamma has trace 1 and trace norm <= k (Vidal & Werner,
+    PRA 65, 032314, 2002), so its positive part has trace <= (k+1)/2 and its
+    negative part <= (k-1)/2.  As <v|h|v> = Tr(h^Gamma sigma),
+    upper = min(lambda_max(h), ((k+1)/2) lambda_max(h^Gamma)
+    - ((k-1)/2) lambda_min(h^Gamma)), and lower mirrors it.  At the vacuous
+    k = min(m, n) the eigenvalue sides are attained, so both are exact."""
+    ev = np.linalg.eigvalsh(h)
+    eg = np.linalg.eigvalsh(_partial_transpose(h, dims))
+    a, b = (k + 1) / 2, (k - 1) / 2
+    return (float(max(ev[0], a * eg[0] - b * eg[-1])),
+            float(min(ev[-1], a * eg[-1] - b * eg[0])))
+
+
 def max_order_norm_upper(X: BipartiteOperator, k: int,
                          cfg: SeeSawConfig | None = None) -> NormEstimate:
-    """Proved upper bound with no search (``cfg`` is not read): the sum over
-    the Hermitian parts H of X = H1 + i H2 of min(||H||, k ||H^Gamma||).
+    """Proved upper bound with no search (``cfg`` is not read): the sum of
+    the proved radii r_k(H) = max(upper, -lower) of `_schmidt_range` over the
+    Hermitian parts H of X = H1 + i H2.
 
-    For a unit v of Schmidt rank <= k, |<v|X|v>| <= sum_H |<v|H|v>|, with
-    |<v|H|v>| <= ||H||, and, as Tr(AB) = Tr(A^Gamma B^Gamma),
-    |<v|H|v>| <= ||H^Gamma|| ||(|v><v|)^Gamma||_tr <= k ||H^Gamma||
-    (Vidal & Werner, PRA 65, 032314, 2002).  So each term bounds the exact
-    radius r_H, and the sum bounds r_H1 + r_H2, the value of the canonical
-    decomposition into the k-block-positive parts r_H I +- H."""
+    For a unit v of Schmidt rank <= k, |<v|X|v>| <= sum_H |<v|H|v>| <=
+    sum_H r_k(H).  Taking each side before the maximum makes this never
+    larger than sum_H min(||H||, k ||H^Gamma||).  It is the value of the
+    canonical decomposition of `block_positive_decomposition` less its
+    1e-8 shifts."""
     _check_k(X, k)
-    value = sum(min(operator_norm(h),
-                    k * operator_norm(_partial_transpose(h, X.dims)))
-                for h in _hermitian_split(X))
+    value = 0.0
+    for h in _hermitian_split(X):
+        lower, upper = _schmidt_range(h, X.dims, k)
+        value += max(upper, -lower)
     return NormEstimate(value=value, direction="upper", witness=None)
-
-
-@dataclass(frozen=True)
-class BlockPositivePart(BipartiteOperator):
-    """A decomposition part with the block-positivity evidence of the search
-    that produced it: a verdict on this operator whose witness and
-    ``min_value`` = <w|P|w> are evaluated on the part itself.  The evidence
-    is as heuristic as `k_block_positivity`, whose search it comes from."""
-
-    evidence: BlockPositivityVerdict
-
-    def __post_init__(self):
-        super().__post_init__()
-        wit = self.evidence.witness_vector
-        if wit is None or wit.dims != self.dims:
-            raise ValueError("part evidence needs a witness on dims %r"
-                             % (self.dims,))
-
-
-def _reevaluate(verdict: BlockPositivityVerdict,
-                mat: np.ndarray) -> BlockPositivityVerdict:
-    """``verdict`` with its witness w re-evaluated on ``mat``: min_value =
-    <w|mat|w> and the status that value gives."""
-    w = verdict.witness_vector.amplitudes
-    val = float(np.real(w.conj() @ mat @ w))
-    status = "refuted" if val < -REFUTE_TOL else "heuristically-positive"
-    return replace(verdict, status=status, min_value=val)
 
 
 def block_positive_decomposition(X: BipartiteOperator, k: int,
                                  cfg: SeeSawConfig | None = None):
     """Canonical decomposition of X into k-block-positive parts t I +- H for
-    each Hermitian part H of X = H1 + i H2, t = `_hermitian_radius` + 1e-8;
-    parts within HERM_TOL of zero are skipped (H1 is kept if both are).
-    Returns [(lambda_i, P_i)] with sum lambda_i P_i = X exactly.
+    each Hermitian part H of X = H1 + i H2, with t = r_k(H) + 1e-8 and
+    r_k(H) = max(upper, -lower) of `_schmidt_range`; parts within HERM_TOL
+    of zero are skipped (H1 is kept if both are).  ``cfg`` is not read: no
+    search runs.  Returns [(lambda_i, P_i)] with sum lambda_i P_i = X
+    exactly.
 
-    Each P_i is a :class:`BlockPositivePart`: t I + H carries the witness of
-    the search on H and t I - H that of the search on -H, both run by
-    `_hermitian_radius`, so `dec_norm_value` re-evaluates them instead of
-    searching again.  The evidence is heuristic, like t itself."""
-    cfg = cfg or SeeSawConfig()
+    Every part is k-block positive by proof: <v|H|v> >= lower >= -r_k(H)
+    and <v|-H|v> >= -upper >= -r_k(H) on every unit v of Schmidt rank <= k."""
     _check_k(X, k)
     eye = np.eye(X.mat.shape[0], dtype=complex)
     h1, h2 = _hermitian_split(X)
@@ -339,13 +316,10 @@ def block_positive_decomposition(X: BipartiteOperator, k: int,
              if np.max(np.abs(h)) > HERM_TOL] or [(1.0 + 0.0j, h1)]
     parts = []
     for c, h in split:
-        lam = c / 2
-        radius, pos_v, neg_v = _hermitian_radius(BipartiteOperator(X.dims, h), k, cfg)
-        t = radius + 1e-8
-        for coef, mat, search in ((lam, t * eye + h, pos_v),
-                                  (-lam, t * eye - h, neg_v)):
-            parts.append((coef, BlockPositivePart(X.dims, mat,
-                                                  _reevaluate(search, mat))))
+        lower, upper = _schmidt_range(h, X.dims, k)
+        t = max(upper, -lower) + 1e-8
+        parts += [(c / 2, BipartiteOperator(X.dims, t * eye + h)),
+                  (-c / 2, BipartiteOperator(X.dims, t * eye - h))]
     return parts
 
 
@@ -355,16 +329,16 @@ def dec_norm_value(X: BipartiteOperator, parts, k: int,
     parts: the order norm of sum_i |lambda_i| P_i.
 
     Raises if the parts fail to reconstruct X within the reconstruction
-    tolerance or if any part is refuted as k-block positive.  A part that
-    carries evidence at this k (a :class:`BlockPositivePart` from
-    `block_positive_decomposition`) is checked by re-evaluating its witness
-    on the part; any other part runs the `k_block_positivity` search.  Both
-    checks are heuristic, so "upper" rests on the heuristic evidence (for
-    the canonical parts, on the heuristic radius).
+    tolerance or if any part is refuted as k-block positive.  A part whose
+    proved lower bound of `_schmidt_range` is >= 0 is k-block positive by
+    proof, as every part of `block_positive_decomposition` is; any other
+    part runs the `k_block_positivity` search, and only then does "upper"
+    rest on a heuristic.
 
     When sum_i |lambda_i| P_i is within HERM_TOL of c I with c real, as the
     canonical parts always are, its order norm is |c| exactly and no search
-    runs.  No infimum over decompositions is attempted.
+    runs: on the canonical parts the value is proved.  No infimum over
+    decompositions is attempted.
     """
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
@@ -378,13 +352,11 @@ def dec_norm_value(X: BipartiteOperator, parts, k: int,
                              % (p.dims, X.dims))
         if not is_hermitian(p.mat):
             raise ValueError("decomposition parts must be Hermitian")
-        if isinstance(p, BlockPositivePart) and p.evidence.k == k:
-            verdict = _reevaluate(p.evidence, p.mat)
-        else:
+        if _schmidt_range(p.mat, p.dims, k)[0] < 0:
             verdict = k_block_positivity(p, k, cfg)
-        if verdict.status == "refuted":
-            raise ValueError("part refuted as %d-block positive (min %.3e)"
-                             % (k, verdict.min_value))
+            if verdict.status == "refuted":
+                raise ValueError("part refuted as %d-block positive (min %.3e)"
+                                 % (k, verdict.min_value))
         recon = recon + lam * p.mat
         abs_sum = abs_sum + abs(lam) * p.mat
     if np.max(np.abs(recon - X.mat)) > RECON_TOL:

@@ -384,6 +384,51 @@ def test_recheck_rejects_witness_of_other_dims(workdir, capsys):
     assert err.startswith("error:") and "(3, 3)" in err and "(2, 3)" in err
 
 
+def test_recheck_witness_rejects_other_dims(workdir, capsys):
+    # a (2,3) witness against a (3,2) state: equal sizes, so only the dims
+    # tell them apart, as in `cone witness` itself
+    from schmidt_norms.cones import reduction_witness
+    write_json(str(workdir / "w32.json"), dump_bipartite(reduction_witness(3, 2)))
+    code, report, _ = _run(capsys, [
+        "cone", "witness", "--witness", str(workdir / "w32.json"),
+        "--state", str(workdir / "iso9.json"), "--k", "2", "--seed", "5",
+        "--restarts", "2"])
+    assert code == 2
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    write_json(str(workdir / "w23.json"),
+               dump_bipartite(BipartiteOperator((2, 3), np.eye(6))))
+    write_json(str(workdir / "rho32.json"),
+               dump_bipartite(BipartiteOperator((3, 2), np.eye(6) / 6)))
+    code, recheck, err = _run(capsys, [
+        "oracle", "recheck", "--report", str(rp),
+        "--witness", str(workdir / "w23.json"), "--state", str(workdir / "rho32.json")])
+    assert code == 1
+    assert recheck is None
+    assert err.startswith("error:")
+    assert "witness dims (2, 3) do not match state dims (3, 2)" in err
+
+
+def test_recheck_kpeb_rejects_other_dims(workdir, capsys):
+    # the report's (3,3) witness operator relabelled (1,9) against the
+    # (3,3) Choi matrix of the map
+    from schmidt_norms.maps import depolarizing_map
+    write_json(str(workdir / "omega.json"), dump_map(depolarizing_map(3)))
+    code, report, _ = _run(capsys, [
+        "map", "kpeb", str(workdir / "omega.json"), "--k", "1", "--seed", "4",
+        "--restarts", "2"])
+    assert code == 0
+    report["result"]["witness_operator"].update(m=1, n=9)
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    code, recheck, err = _run(capsys, [
+        "oracle", "recheck", "--report", str(rp), "--map", str(workdir / "omega.json")])
+    assert code == 1
+    assert recheck is None
+    assert err.startswith("error:")
+    assert "witness dims (1, 9) do not match state dims (3, 3)" in err
+
+
 def test_verify_sn_ensemble_k0_exit_1(workdir, capsys):
     ens = dump_ensemble(fixtures.basis_product_ensemble(3, 3))
     ens["k"] = 0

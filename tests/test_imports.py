@@ -129,6 +129,8 @@ UNREAD_ALLOWED = {
         "every recheck handler takes (report, args)",
     ("norms", "max_order_norm_upper", "cfg"):
         "the benchmark's order_norms workload passes a config positionally",
+    ("norms", "block_positive_decomposition", "cfg"):
+        "the benchmark's order_norms workload passes a config positionally",
 }
 
 

@@ -23,7 +23,7 @@ from schmidt_norms.norms import (
     omin_norm,
     sk_norm,
 )
-from schmidt_norms.oracle import OracleConfig, brute_min_order
+from schmidt_norms.oracle import OracleConfig, brute_block_min, brute_min_order
 from schmidt_norms.rand import RandomConfig, complex_gaussian, random_unitary
 
 
@@ -168,6 +168,26 @@ def _partial_transpose(mat, dims):
     return np.einsum("iajb->ibja", mat.reshape(m, n, m, n)).reshape(m * n, m * n)
 
 
+def _sides(h, dims, k):
+    """Closed-form (lower, upper) on <v|h|v> over Schmidt rank <= k: each side
+    is the tighter of the eigenvalue bound and the partial-transpose bound
+    with weights (k+1)/2 and (k-1)/2."""
+    ev = np.linalg.eigvalsh(h)
+    eg = np.linalg.eigvalsh(_partial_transpose(h, dims))
+    a, b = (k + 1) / 2, (k - 1) / 2
+    return (max(ev[0], a * eg[0] - b * eg[-1]),
+            min(ev[-1], a * eg[-1] - b * eg[0]))
+
+
+def _radius(h, dims, k):
+    lower, upper = _sides(h, dims, k)
+    return max(upper, -lower)
+
+
+def _hermitian_parts(mat):
+    return (mat + mat.conj().T) / 2, (mat - mat.conj().T) / 2j
+
+
 def test_upper_is_closed_form_with_no_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("search called")
@@ -175,16 +195,12 @@ def test_upper_is_closed_form_with_no_search(monkeypatch):
     monkeypatch.setattr(norms, "min_order_norm", forbidden)
     monkeypatch.setattr(norms, "k_block_positivity", forbidden)
     op = _random_op((2, 3), RandomConfig(seed=16).generator())
-    h1 = (op.mat + op.mat.conj().T) / 2
-    h2 = (op.mat - op.mat.conj().T) / 2j
     for k in (1, 2):
         est = max_order_norm_upper(op, k, _cfg(15, restarts=5))
         assert est.direction == "upper" and est.witness is None
         assert est.restarts_used == 0 and est.iterations == 0
         assert est.converged and est.history == []
-        closed = sum(min(operator_norm(h),
-                         k * operator_norm(_partial_transpose(h, (2, 3))))
-                     for h in (h1, h2))
+        closed = sum(_radius(h, (2, 3), k) for h in _hermitian_parts(op.mat))
         assert est.value == pytest.approx(closed, abs=1e-12)
 
 
@@ -208,6 +224,49 @@ def test_upper_bounds_brute_force_and_dec():
         for k in range(1, min(dims) + 1):
             upper = max_order_norm_upper(op, k).value
             assert upper >= brute_min_order(op, k, ocfg)
+            parts = block_positive_decomposition(op, k, cfg)
+            assert upper >= dec_norm_value(op, parts, k, cfg).value - 1e-6
+
+
+def test_proved_radius_bounds_brute_force():
+    # soundness of the one-sided closed form on random Hermitian operators,
+    # side by side: the sampled order norm never exceeds the radius, and the
+    # sampled minimum never falls below the lower side.  The perturbed
+    # entangled projectors make the partial-transpose side the active one
+    rng = RandomConfig(seed=51).generator()
+    ocfg = OracleConfig(samples=1000, polish_steps=40, rng=RandomConfig(seed=52))
+    phi = fixtures.maximally_entangled(3).amplitudes
+    proj = np.outer(phi, phi.conj())
+    cases = [_random_hermitian(dims, rng, shift)
+             for dims in ((2, 2), (2, 3), (3, 3), (3, 4))
+             for shift in (-1.0, 0.0, 1.0)]
+    cases += [BipartiteOperator((3, 3), sign * proj
+                                + 0.01 * _random_hermitian((3, 3), rng).mat)
+              for sign in (1.0, -1.0)]
+    for op in cases:
+        dims = op.dims
+        for k in range(1, min(dims) + 1):
+            lower, upper = norms._schmidt_range(op.mat, dims, k)
+            assert max(upper, -lower) >= brute_min_order(op, k, ocfg) - 1e-12
+            assert lower <= brute_block_min(op, k, ocfg) + 1e-12
+            assert (lower, upper) == pytest.approx(_sides(op.mat, dims, k), abs=1e-12)
+
+
+def test_one_sided_upper_between_dec_and_two_sided_bound():
+    # on the criterion-5 stream the one-sided upper never exceeds the
+    # two-sided sum_H min(||H||, k ||H^Gamma||), and the canonical dec,
+    # which is the same proved radius plus its 1e-8 shifts, stays within
+    # 1e-6 of it
+    rng = RandomConfig(seed=501).generator()
+    cfg = _cfg(502, restarts=5, max_iters=100)
+    for _ in range(100):
+        op = _random_op((2, 3), rng)
+        for k in (1, 2):
+            upper = max_order_norm_upper(op, k, cfg).value
+            two_sided = sum(min(operator_norm(h),
+                                k * operator_norm(_partial_transpose(h, (2, 3))))
+                            for h in _hermitian_parts(op.mat))
+            assert upper <= two_sided + 1e-12
             parts = block_positive_decomposition(op, k, cfg)
             assert upper >= dec_norm_value(op, parts, k, cfg).value - 1e-6
 
@@ -412,9 +471,10 @@ def _counted(monkeypatch, name):
 
 
 def test_dec_norm_reuses_decomposition_evidence(monkeypatch):
-    # the canonical parts carry the witnesses of the descents that sized t,
-    # so dec_norm_value re-evaluates them and runs no k_block_positivity
-    # search; bare copies of the same parts are searched once each
+    # the canonical parts are k-block positive by the closed form alone (its
+    # lower side is >= 0, also at k - 1, where the bound is tighter), so
+    # dec_norm_value runs no k_block_positivity search on them or on bare
+    # copies of them
     rng = RandomConfig(seed=24).generator()
     cfg = _cfg(25, restarts=3, max_iters=60)
     for dims, k in (((2, 3), 1), ((3, 3), 2)):
@@ -422,42 +482,32 @@ def test_dec_norm_reuses_decomposition_evidence(monkeypatch):
         parts = block_positive_decomposition(op, k, cfg)
         assert len(parts) == 4
         for _, p in parts:
-            assert isinstance(p, norms.BlockPositivePart)
-            ev = p.evidence
-            assert ev.k == k and ev.status == "heuristically-positive"
-            w = ev.witness_vector.amplitudes
-            assert ev.min_value == np.real(w.conj() @ p.mat @ w)
+            assert type(p) is BipartiteOperator
+            for kk in range(max(k - 1, 1), k + 1):
+                assert _sides(p.mat, dims, kk)[0] >= 0
         calls = _counted(monkeypatch, "k_block_positivity")
         dec = dec_norm_value(op, parts, k, cfg)
-        assert calls == []
-        bare = [(lam, BipartiteOperator(p.dims, p.mat)) for lam, p in parts]
+        bare = [(lam, BipartiteOperator(p.dims, p.mat.copy())) for lam, p in parts]
         assert dec_norm_value(op, bare, k, cfg).value == dec.value
-        assert len(calls) == len(parts)
-        # evidence at another k is not evidence: the part is searched
         if k > 1:
-            del calls[:]
             dec_norm_value(op, parts, k - 1, cfg)
-            assert len(calls) == len(parts)
+        assert calls == []
         monkeypatch.undo()
 
 
 def test_dec_norm_refutes_non_block_positive_part(monkeypatch):
     # SWAP reconstructs itself but is not 2-block positive: an antisymmetric
-    # vector such as (|01> - |10>)/sqrt 2 gives -1.  The search refutes the
-    # bare part; a part carrying the search's witness is refuted without one.
+    # vector such as (|01> - |10>)/sqrt 2 gives -1.  The closed form cannot
+    # prove the part (its lower side is -1), so the search runs and refutes it.
     swap = fixtures.swap_operator(3)
     cfg = _cfg(26, restarts=3, max_iters=60)
-    with pytest.raises(ValueError, match="refuted"):
-        dec_norm_value(swap, [(1.0, swap)], 2, cfg)
-    verdict = k_block_positivity(swap, 2, cfg)
-    assert verdict.min_value == pytest.approx(-1.0, abs=1e-9)
-    part = norms.BlockPositivePart(swap.dims, swap.mat, verdict)
+    assert _sides(swap.mat, (3, 3), 2)[0] == pytest.approx(-1.0, abs=1e-12)
     calls = _counted(monkeypatch, "k_block_positivity")
     with pytest.raises(ValueError, match="refuted"):
-        dec_norm_value(swap, [(1.0, part)], 2, cfg)
-    assert calls == []
-    with pytest.raises(ValueError, match="witness on dims"):
-        norms.BlockPositivePart((1, 9), swap.mat, verdict)
+        dec_norm_value(swap, [(1.0, swap)], 2, cfg)
+    assert len(calls) == 1
+    verdict = k_block_positivity(swap, 2, cfg)
+    assert verdict.min_value == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_dec_norm_closed_form_on_multiples_of_identity(monkeypatch):
@@ -488,8 +538,8 @@ def test_dec_norm_closed_form_on_multiples_of_identity(monkeypatch):
 
 
 def test_decomposition_and_dec_bit_identical_in_process():
-    # equal seed, equal bytes: part matrices, evidence witnesses and values,
-    # and the dec value
+    # equal input, equal bytes: part coefficients and matrices, and the dec
+    # value
     rng = RandomConfig(seed=29).generator()
     op = _random_op((3, 3), rng)
     cfg = _cfg(30, restarts=3, max_iters=60)
@@ -497,10 +547,8 @@ def test_decomposition_and_dec_bit_identical_in_process():
     def bits():
         parts = block_positive_decomposition(op, 2, cfg)
         dec = dec_norm_value(op, parts, 2, cfg)
-        return dec.value, [(lam, p.mat.tobytes(), p.evidence.min_value,
-                            p.evidence.witness_vector.amplitudes.tobytes(),
-                            p.evidence.frame.vectors.tobytes())
-                           for lam, p in parts]
+        return (np.float64(dec.value).tobytes(),
+                [(complex(lam), p.mat.tobytes()) for lam, p in parts])
 
     assert bits() == bits()
 
