@@ -14,7 +14,9 @@ Norms implemented here:
                         the compression (v and w share a right frame).
 * ``min_order_norm`` -- same with the numerical radius of the compression,
                         i.e. sup |<v|X|v>| over Schmidt rank <= k; Hermitian
-                        X is solved exactly by one eigh per evaluation.
+                        X is solved exactly by one eigh per evaluation, other
+                        X screens each trial frame with one eigvalsh before
+                        its angle search.
 * ``max_order_norm_upper`` -- proved Hermitian-split bound in closed form:
                         the sum of the one-sided Schmidt-rank radii r_k(H).
 * ``block_positive_decomposition`` -- parts r_k(H) I +- H (plus 1e-8),
@@ -197,6 +199,16 @@ def _numrad_objective(c: np.ndarray):
     return val, (np.exp(1j * theta), vec, vec)
 
 
+def _numrad_screen(c: np.ndarray, term) -> float:
+    """The frame-ascent screen of `_numrad_objective`: lambda_max(Re(e^{i
+    theta} c)) at the incumbent's angle, term[0] = e^{i theta}, from one
+    eigvalsh.  Every fixed angle gives a lower bound on the numerical radius
+    of c, and at the objective's own term this is its value; by Danskin's
+    theorem the two share their first-order change there."""
+    pc = term[0] * c
+    return float(np.linalg.eigvalsh((pc + pc.conj().T) / 2.0)[-1])
+
+
 def _hermitian_objective(c: np.ndarray):
     """Numerical radius of a Hermitian compression, max(lambda_max,
     -lambda_min), from one eigh: the theta = 0 or theta = pi attainer that
@@ -210,12 +222,12 @@ def _hermitian_objective(c: np.ndarray):
 
 
 def _frame_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig, objective,
-                single_vector: bool) -> NormEstimate:
+                single_vector: bool, screen=None) -> NormEstimate:
     """omin_norm / min_order_norm through :func:`frame_search`; the value is
     the witness form |<u|X|w>| on X itself, so re-evaluating the witness
     reproduces it."""
     best, outcomes = frame_search(X, k, objective, cfg,
-                                  single_vector=single_vector)
+                                  single_vector=single_vector, screen=screen)
     frame, vectors = best.payload
     u, w = vectors[0].amplitudes, vectors[-1].amplitudes
     return NormEstimate(value=float(np.abs(u.conj() @ X.mat @ w)),
@@ -238,12 +250,17 @@ def min_order_norm(X: BipartiteOperator, k: int,
 
     Hermitian X has Hermitian compressions, whose numerical radius is
     max(lambda_max, -lambda_min): one eigh per evaluation solves it exactly.
-    Other X use a 32-point angle grid refined by Newton steps to 1e-8.
+    Other X use a 32-point angle grid refined by Newton steps to 1e-8, run
+    only at start frames and at trial frames that pass `_numrad_screen`: one
+    eigvalsh at the incumbent's angle, a lower bound on the trial's radius,
+    so every trial it passes is an ascent.
     """
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
-    objective = _hermitian_objective if is_hermitian(X.mat) else _numrad_objective
-    return _frame_norm(X, k, cfg, objective, single_vector=True)
+    if is_hermitian(X.mat):
+        return _frame_norm(X, k, cfg, _hermitian_objective, single_vector=True)
+    return _frame_norm(X, k, cfg, _numrad_objective, single_vector=True,
+                       screen=_numrad_screen)
 
 
 # ---------------------------------------------------------------------------

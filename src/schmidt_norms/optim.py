@@ -6,7 +6,10 @@ Every search is a monotone ascent with an exact inner step and runs
 :func:`ascend`, which logs one value per step: the ``sk_norm`` and
 ``idk_op_norm`` see-saws with their own steps, the frame ascent and the
 sphere ascent of ``hermitian_trace_norm`` with :func:`projected_step`, each
-keeping its own retraction, first step and gradient floor.  A minimum, as
+keeping its own retraction, first step and gradient floor.  A frame ascent
+may also pass a screen: a lower bound on the objective, read off the
+incumbent's term, that rejects a trial step before its inner solve
+(``min_order_norm`` screens its angle search this way).  A minimum, as
 in ``k_block_positivity``, is searched as the supremum of the negated
 objective.  The frame ascent retracts by :func:`_retract`, a
 Gram-Schmidt thin QR factor: several times cheaper than LAPACK QR on these
@@ -112,7 +115,8 @@ def ascend(value: float, state, step, cfg: SeeSawConfig) -> RestartOutcome:
     return RestartOutcome(value, state, history, False)
 
 
-def projected_step(evaluate, direction, retract, eta: float, grad_tol: float):
+def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
+                   screen=None):
     """The line search of the frame and sphere ascents, as an :func:`ascend`
     step over states (x, data) with ``evaluate(x) -> (value, data)``.
 
@@ -121,6 +125,11 @@ def projected_step(evaluate, direction, retract, eta: float, grad_tol: float):
     step sizes halving from ``eta``, each point mapped back by ``retract``,
     until one raises the value.  The next step starts at 1.5 times the
     accepted one, capped at 1.
+
+    ``screen(x, data)``, when given, is a cheap lower bound on the value at
+    the trial point x, built from the incumbent's ``data``.  A trial it puts
+    at or below the current value is rejected without calling ``evaluate``;
+    any other trial is evaluated and accepted as before.
     """
     def step(value, state):
         nonlocal eta
@@ -133,10 +142,11 @@ def projected_step(evaluate, direction, retract, eta: float, grad_tol: float):
         t = eta
         for _ in range(_MAX_HALVINGS + 1):
             x_new = retract(x + t * g)
-            val_new, data_new = evaluate(x_new)
-            if val_new > value:
-                eta = min(t * 1.5, 1.0)
-                return val_new, (x_new, data_new)
+            if screen is None or screen(x_new, data) > value:
+                val_new, data_new = evaluate(x_new)
+                if val_new > value:
+                    eta = min(t * 1.5, 1.0)
+                    return val_new, (x_new, data_new)
             t /= 2.0
         return None
 
@@ -225,20 +235,33 @@ def _retract(a: np.ndarray) -> np.ndarray:
 
 
 def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
-                 objective, cfg: SeeSawConfig):
+                 objective, cfg: SeeSawConfig, screen=None):
     """Maximize objective(compress_tensor(t4, V)) over orthonormal frames V.
 
     ``objective(C) -> (value, term)`` must solve the inner problem exactly
     and return the differential term for :func:`_frame_gradient`.  The start
     frame is a Haar draw (:func:`random_isometry`, LAPACK QR); every trial
     step V + tG is mapped back by the Gram-Schmidt :func:`_retract`, exact
-    to rounding since cond(V + tG) <= sqrt(2).  Returns a RestartOutcome
-    whose payload is (V, value-attaining term).
+    to rounding since cond(V + tG) <= sqrt(2).  ``screen(C, term)``, when
+    given, is the :func:`projected_step` screen on the trial compression C
+    with the incumbent term; it must be a lower bound on the objective at C.
+    Each trial frame is compressed once, for the screen and the objective
+    both.  Returns a RestartOutcome whose payload is (V, value-attaining
+    term).
     """
     layouts = _gradient_layouts(t4)
+    last = [None, None]  # the last frame compressed, and its compression
+
+    def compressed(v):
+        if last[0] is not v:
+            last[:] = v, compress_tensor(t4, v)
+        return last[1]
 
     def evaluate(v):
-        return objective(compress_tensor(t4, v))
+        return objective(compressed(v))
+
+    def screened(v, term):
+        return screen(compressed(v), term)
 
     def direction(v, term):
         g = _frame_gradient(layouts, v, term)
@@ -248,15 +271,16 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
 
     v = random_isometry(t4.shape[1], k, rng)
     val, term = evaluate(v)
-    step = projected_step(evaluate, direction, _retract, 0.25, 1e-15)
+    step = projected_step(evaluate, direction, _retract, 0.25, 1e-15,
+                          None if screen is None else screened)
     return ascend(val, (v, term), step, cfg)
 
 
 def frame_search(X: BipartiteOperator, k: int, objective, cfg: SeeSawConfig,
-                 single_vector: bool = True):
-    """Maximize ``objective`` (as for :func:`frame_ascent`) over the
-    compressions of X by k-dimensional right frames, restarted through
-    :func:`run_restarts`.
+                 single_vector: bool = True, screen=None):
+    """Maximize ``objective`` (as for :func:`frame_ascent`, with its
+    ``screen``) over the compressions of X by k-dimensional right frames,
+    restarted through :func:`run_restarts`.
 
     Returns (best, outcomes) as :func:`run_restarts` does, with the payload
     of ``best`` replaced by (frame, vectors): the best restart's Frame and the
@@ -273,7 +297,7 @@ def frame_search(X: BipartiteOperator, k: int, objective, cfg: SeeSawConfig,
         t4 = X.blocks()
 
         def worker(_r: int, rng: np.random.Generator) -> RestartOutcome:
-            return frame_ascent(t4, k, rng, objective, cfg)
+            return frame_ascent(t4, k, rng, objective, cfg, screen)
 
         best, outcomes = run_restarts(worker, cfg)
         v, term = best.payload

@@ -14,6 +14,8 @@ from schmidt_norms.linalg import (
 from schmidt_norms.norms import (
     SeeSawConfig,
     _hermitian_objective,
+    _numrad_objective,
+    _numrad_screen,
     block_positive_decomposition,
     compress,
     dec_norm_value,
@@ -24,7 +26,12 @@ from schmidt_norms.norms import (
     sk_norm,
 )
 from schmidt_norms.oracle import OracleConfig, brute_block_min, brute_min_order
-from schmidt_norms.rand import RandomConfig, complex_gaussian, random_unitary
+from schmidt_norms.rand import (
+    RandomConfig,
+    complex_gaussian,
+    random_isometry,
+    random_unitary,
+)
 
 
 def _cfg(seed, restarts=8, max_iters=120):
@@ -393,6 +400,61 @@ def test_lapack_calls_per_frame_evaluation(monkeypatch):
     assert _eigh_per_evaluation(monkeypatch, lambda: min_order_norm(op, 1, cfg)) <= 12
     assert _eigh_per_evaluation(monkeypatch, lambda: min_order_norm(herm, 1, cfg)) == 1
     assert _eigh_per_evaluation(monkeypatch, lambda: k_block_positivity(herm, 1, cfg)) == 1
+
+
+def test_numrad_screen_is_a_lower_bound_exact_at_its_term():
+    # the screen at any angle is at most the numerical radius, and at the
+    # objective's own term it is the objective's value; a rank-one example51
+    # compression covers the rank-deficient case
+    rng = RandomConfig(seed=51).generator()
+    cs = [complex_gaussian(rng, (d, d)) for d in range(1, 9) for _ in range(5)]
+    frame = Frame(vectors=random_isometry(3, 2, rng).T.copy())
+    cs.append(compress(fixtures.example51(3), frame))
+    assert np.linalg.matrix_rank(cs[-1]) == 1
+    for c in cs:
+        val, term = _numrad_objective(c)
+        assert _numrad_screen(c, term) == pytest.approx(val, abs=1e-12)
+        for coef in np.exp(2j * np.pi * rng.random(20)):
+            assert _numrad_screen(c, (coef, None, None)) <= val + 1e-12
+
+
+def test_numerical_radius_runs_at_starts_and_accepted_steps(monkeypatch):
+    # counted, not timed: the screen rejects trial frames before their angle
+    # search, so non-Hermitian min_order_norm runs it once per start frame
+    # and once per accepted step, while more frames are compressed than that
+    counts = {"radius": 0, "compress": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(norms, "_numerical_radius_attain",
+                        counted("radius", _numerical_radius_attain))
+    monkeypatch.setattr(optim, "compress_tensor",
+                        counted("compress", optim.compress_tensor))
+    rng = RandomConfig(seed=52).generator()
+    for dims, k in (((2, 3), 1), ((3, 3), 2)):
+        counts.update(radius=0, compress=0)
+        est = min_order_norm(_random_op(dims, rng), k, _cfg(53, restarts=3))
+        assert counts["radius"] == est.restarts_used + est.iterations
+        assert counts["compress"] > counts["radius"]
+
+
+def test_screened_minorder_matches_unscreened_search():
+    # quality guard: the screened search against the unscreened frame search
+    # with the same objective and seeds, on the first 20 operators that
+    # criterion 5 runs at k = 1 (its even-indexed draws) and on (3,3)
+    # operators at k = 2
+    cfg = _cfg(502, restarts=5, max_iters=100)
+    c5 = RandomConfig(seed=501).generator()
+    gen = RandomConfig(seed=503).generator()
+    cases = ([(_random_op((2, 3), c5), 1) for _ in range(40)][::2]
+             + [(_random_op((3, 3), gen), 2) for _ in range(5)])
+    for op, k in cases:
+        old = optim.frame_search(op, k, _numrad_objective, cfg)[0].value
+        assert min_order_norm(op, k, cfg).value == pytest.approx(old, abs=1e-6)
 
 
 def test_lapack_qr_once_per_restart(monkeypatch):

@@ -223,6 +223,30 @@ def test_ascend_stops_converged_when_no_move():
     assert step(1.0, (np.ones(2), None)) is None
 
 
+def test_projected_step_screen_rejects_without_evaluating():
+    # a trial the screen puts at or below the value is halved away with no
+    # evaluation; the first one it passes is evaluated and accepted
+    evaluated, screened = [], []
+
+    def evaluate(x):
+        evaluated.append(x[0])
+        return float(x[0] - x[0] ** 2), None
+
+    def screen(x, data):  # a lower bound on the value
+        screened.append(x[0])
+        return float(x[0] - x[0] ** 2) - 0.05
+
+    step = projected_step(evaluate, lambda x, data: np.ones(1), lambda x: x,
+                          2.0, 1e-14, screen)
+    new, (x, _) = step(0.0, (np.zeros(1), None))
+    assert screened == [2.0, 1.0, 0.5] and evaluated == [0.5]
+    assert new == 0.25 and x[0] == 0.5
+    # the screen passes a trial that evaluate still refuses: no step
+    step = projected_step(lambda x: (-1.0, None), lambda x, data: np.ones(1),
+                          lambda x: x, 1.0, 1e-14, lambda x, data: 1.0)
+    assert step(0.0, (np.zeros(1), None)) is None
+
+
 def test_ascend_stops_converged_on_small_gain():
     # a minimum searched as the ascent of negated values, as in
     # k_block_positivity
