@@ -6,16 +6,19 @@ Every search is a monotone ascent with an exact inner step and runs
 :func:`ascend`, which logs one value per step: the ``sk_norm`` and
 ``idk_op_norm`` see-saws with their own steps, the frame ascent and the
 sphere ascent of ``hermitian_trace_norm`` with :func:`projected_step`, each
-keeping its own retraction, first step and gradient floor.  A frame ascent
+keeping its own retraction, first step and gradient floor.  Each line
+search first tries the long Barzilai-Borwein step length from the last two
+points, capped at 1 (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988; Wen &
+Yin, Math. Program. 142, 2013), and halves it on failure.  A frame ascent
 may also pass a screen: a lower bound on the objective, read off the
 incumbent's term, that rejects a trial step before its inner solve
 (``min_order_norm`` screens its angle search this way).  A minimum, as
 in ``k_block_positivity``, is searched as the supremum of the negated
 objective.  The frame ascent retracts by :func:`_retract`, a
 Gram-Schmidt thin QR factor: several times cheaper than LAPACK QR on these
-small frames, and accurate because a step from an orthonormal frame along a
-unit tangent has condition number at most sqrt(2).  Only a restart's Haar
-start frame goes through LAPACK QR.
+small frames, and accurate because a step of length at most 1 from an
+orthonormal frame along a unit tangent has condition number at most
+sqrt(2).  Only a restart's Haar start frame goes through LAPACK QR.
 
 Restart r draws its start from RNG stream ``cfg.rng.stream(r)``; the result
 is the restart of largest value, ties going to the smaller index, and
@@ -122,30 +125,43 @@ def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
 
     The tangent ``direction(x, data)`` ends the search when shorter than
     ``grad_tol``; normalized, it is tried with at most ``_MAX_HALVINGS + 1``
-    step sizes halving from ``eta``, each point mapped back by ``retract``,
-    until one raises the value.  The next step starts at 1.5 times the
-    accepted one, capped at 1.
+    step lengths halving from a first trial t, each point mapped back by
+    ``retract``, until one raises the value.  The first trial is the long
+    Barzilai-Borwein step (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988;
+    on the Stiefel manifold, Wen & Yin, Math. Program. 142, 2013) from the
+    last two points: with s = x - x_prev and y = g - g_prev, g the tangent
+    before normalization, t = min(1, |g| <s,s> / |Re<s,y>|).  On the first
+    step of a search, or when Re<s,y> = 0, it is ``eta`` (0.25 for frames,
+    0.5 for the sphere), so every trial has t <= 1.  Build one step per
+    search: it keeps the previous point and tangent.
 
     ``screen(x, data)``, when given, is a cheap lower bound on the value at
     the trial point x, built from the incumbent's ``data``.  A trial it puts
     at or below the current value is rejected without calling ``evaluate``;
     any other trial is evaluated and accepted as before.
     """
+    prev = None  # (x, g) at the start of the last step
+
     def step(value, state):
-        nonlocal eta
+        nonlocal prev
         x, data = state
         g = direction(x, data)
         gnorm = np.sqrt(np.vdot(g, g).real)
         if gnorm < grad_tol:
             return None
-        g = g / gnorm
         t = eta
+        if prev is not None:
+            s, y = x - prev[0], g - prev[1]
+            sy = abs(np.vdot(s, y).real)
+            if sy > 0.0:
+                t = min(1.0, gnorm * np.vdot(s, s).real / sy)
+        prev = x, g
+        g = g / gnorm
         for _ in range(_MAX_HALVINGS + 1):
             x_new = retract(x + t * g)
             if screen is None or screen(x_new, data) > value:
                 val_new, data_new = evaluate(x_new)
                 if val_new > value:
-                    eta = min(t * 1.5, 1.0)
                     return val_new, (x_new, data_new)
             t /= 2.0
         return None
@@ -221,8 +237,10 @@ def _retract(a: np.ndarray) -> np.ndarray:
 
     Gram-Schmidt loses orthogonality in proportion to cond(a)^2, which is
     small here: a = V + tG with V orthonormal, G a unit tangent (V^dagger G
-    skew-Hermitian) and t <= 1 has a^dagger a = I + t^2 G^dagger G, so
-    cond(a) <= sqrt(2).  At k = 1 this is a plain normalization.
+    skew-Hermitian) and t <= 1, which the cap on the Barzilai-Borwein
+    length in :func:`projected_step` ensures, has a^dagger a = I + t^2
+    G^dagger G, so cond(a) <= sqrt(2).  At k = 1 this is a plain
+    normalization.
     """
     q = np.array(a, order="F")
     for j in range(q.shape[1]):

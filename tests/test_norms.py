@@ -457,6 +457,17 @@ def test_screened_minorder_matches_unscreened_search():
         assert min_order_norm(op, k, cfg).value == pytest.approx(old, abs=1e-6)
 
 
+def test_minorder_criterion5_instance16_reaches_its_maximum():
+    """Criterion-5 instance 16 at k = 1 (generator seed 501, config seed 502,
+    5 restarts, 100 iterations): with the Barzilai-Borwein first trial of
+    the line search, min_order_norm reaches 3.10296 there.  The 1.5x/halve
+    step rule before it stalled at 3.05682 on the same budget."""
+    c5 = RandomConfig(seed=501).generator()
+    op = [_random_op((2, 3), c5) for _ in range(17)][16]
+    est = min_order_norm(op, 1, _cfg(502, restarts=5, max_iters=100))
+    assert est.value == pytest.approx(3.10296, abs=1e-4)
+
+
 def test_lapack_qr_once_per_restart(monkeypatch):
     # counted, not timed: the frame ascent retracts its trial steps without
     # LAPACK, so QR runs once per restart, for the Haar start frame
