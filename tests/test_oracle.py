@@ -11,7 +11,7 @@ from schmidt_norms.oracle import (
     OracleConfig,
     _frame_compressions,
     _pairings,
-    _row_matmul,
+    _sample_matmul,
     brute_block_min,
     brute_idk_norm,
     brute_min_order,
@@ -98,9 +98,14 @@ def test_brute_idk_cp_map():
 def test_oracle_reproducibility():
     rng = RandomConfig(seed=17).generator()
     op = BipartiteOperator(dims=(2, 3), mat=complex_gaussian(rng, (6, 6)))
-    a = brute_sk_norm(op, 2, _ocfg(18, samples=1000, polish=50))
-    b = brute_sk_norm(op, 2, _ocfg(18, samples=1000, polish=50))
-    assert a == b
+    herm = BipartiteOperator(dims=(2, 3), mat=(op.mat + op.mat.conj().T) / 2)
+    phi = MapRepr.from_choi(BipartiteOperator((2, 3), complex_gaussian(rng, (6, 6))))
+    calls = [(brute_sk_norm, op), (brute_min_order, op), (brute_block_min, herm),
+             (brute_omin, op), (brute_idk_norm, phi)]
+    for brute, target in calls:
+        a = brute(target, 2, _ocfg(18, samples=1000, polish=50))
+        b = brute(target, 2, _ocfg(18, samples=1000, polish=50))
+        assert a == b, brute.__name__
 
 
 def test_oracle_config_validation():
@@ -110,10 +115,11 @@ def test_oracle_config_validation():
     OracleConfig(polish_steps=0)
 
 
-def _parity_operator():
-    x = BipartiteOperator((3, 4), complex_gaussian(RandomConfig(seed=19).generator(),
-                                                   (12, 12)))
-    return x, BipartiteOperator((3, 4), (x.mat + x.mat.conj().T) / 2)
+def _parity_operator(dims=(3, 4), seed=19):
+    d = dims[0] * dims[1]
+    x = BipartiteOperator(dims, complex_gaussian(RandomConfig(seed=seed).generator(),
+                                                 (d, d)))
+    return x, BipartiteOperator(dims, (x.mat + x.mat.conj().T) / 2)
 
 
 # Values of the loop that re-evaluated the current state at every polish
@@ -137,6 +143,22 @@ def test_polished_values_match_reference(polish, want):
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+# Values of the samples-first layout that preceded the samples-last one, at
+# k = 1 and at m > n, where the chained gradient takes the transpose the
+# other way round.
+@pytest.mark.parametrize("dims, seed, k, polish, want", [
+    ((3, 4), 19, 1, 0, [3.420795630621797, 3.589172529271844, -3.3566415742570177]),
+    ((3, 4), 19, 1, 30, [5.960267800884892, 4.58362062286968, -4.58172749575357]),
+    ((4, 3), 28, 2, 0, [3.7480138626584765, 3.607599907679579, -3.4410705295106534]),
+    ((4, 3), 28, 2, 30, [7.9848451670131935, 5.7963307513729605, -5.440786827383211])],
+    ids=["3x4-k1-polish0", "3x4-k1-polish30", "4x3-k2-polish0", "4x3-k2-polish30"])
+def test_polished_values_match_reference_shapes(dims, seed, k, polish, want):
+    x, h = _parity_operator(dims, seed)
+    cfg = OracleConfig(samples=600, polish_steps=polish, rng=RandomConfig(seed=20))
+    got = [brute_sk_norm(x, k, cfg), brute_min_order(x, k, cfg), brute_block_min(h, k, cfg)]
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("m, n, k", [(3, 4, 2), (4, 4, 2), (2, 3, 1), (2, 2, 2)])
 def test_frame_compressions_match_dense(m, n, k):
     rng = RandomConfig(seed=23).generator()
@@ -150,23 +172,32 @@ def test_frame_compressions_match_dense(m, n, k):
 
 
 def test_blocked_pairings_match_einsum():
-    # rows on both sides of two block boundaries
+    # samples on both sides of two block boundaries
     rng = RandomConfig(seed=26).generator()
     count = 2 * _SAMPLE_BLOCK + 3
-    v, w = complex_gaussian(rng, (count, 6)), complex_gaussian(rng, (count, 6))
+    v, w = complex_gaussian(rng, (6, count)), complex_gaussian(rng, (6, count))
     xm = complex_gaussian(rng, (6, 6))
-    want = np.einsum("si,ij,sj->s", v.conj(), xm, w)
+    want = np.einsum("is,ij,js->s", v.conj(), xm, w)
     assert np.allclose(_pairings(v, xm, w), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3, 3, 1), (3, 4, 2), (4, 2, 3)])
-def test_row_matmul_matches_matmul(shape):
+def test_sample_matmul_matches_matmul(shape):
     rng = RandomConfig(seed=27).generator()
     m, j, k = shape
-    x, y = complex_gaussian(rng, (7, m, j)), complex_gaussian(rng, (7, j, k))
-    assert np.allclose(_row_matmul(x, y), x @ y, rtol=0, atol=1e-12)
-    xt = x.transpose(0, 2, 1)  # a strided view, as the callers pass them
-    assert np.allclose(_row_matmul(xt, x), xt @ x, rtol=0, atol=1e-12)
+    x, y = complex_gaussian(rng, (m, j, 7)), complex_gaussian(rng, (j, k, 7))
+
+    def want(a, b):  # stacked matmul with the sample axis moved first and back
+        return np.moveaxis(np.moveaxis(a, -1, 0) @ np.moveaxis(b, -1, 0), 0, -1)
+
+    assert np.allclose(_sample_matmul(x, y), want(x, y), rtol=0, atol=1e-12)
+    # strided views, as the callers pass them: a transposed factor, and
+    # factors whose sample axis is a transposed samples-first draw
+    xt = x.transpose(1, 0, 2)
+    assert np.allclose(_sample_matmul(xt, x), want(xt, x), rtol=0, atol=1e-12)
+    xs = complex_gaussian(rng, (7, m, j)).transpose(1, 2, 0)
+    ys = complex_gaussian(rng, (7, k, j)).transpose(2, 1, 0)
+    assert np.allclose(_sample_matmul(xs, ys), want(xs, ys), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [0, 4])
