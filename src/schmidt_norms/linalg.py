@@ -93,6 +93,8 @@ class BipartiteOperator:
             raise ValueError(
                 "matrix shape %r does not match dims (%d, %d)" % (mat.shape, m, n)
             )
+        if not np.isfinite(mat).all():
+            raise ValueError("mat has a non-finite entry")
         object.__setattr__(self, "dims", (int(m), int(n)))
         object.__setattr__(self, "mat", mat)
 
@@ -125,6 +127,8 @@ class PureState:
         if amp.shape != (m * n,):
             raise ValueError("amplitude length %d does not match dims (%d, %d)"
                              % (amp.size, m, n))
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes has a non-finite entry")
         nrm = np.linalg.norm(amp)
         if abs(nrm - 1.0) > UNIT_TOL:
             raise ValueError("state norm %.3e is not 1 within %g" % (nrm, UNIT_TOL))
@@ -172,6 +176,8 @@ class Frame:
         vecs = _as_complex(self.vectors)
         if vecs.ndim != 2:
             raise ValueError("frame must be a 2-D array of row vectors")
+        if not np.isfinite(vecs).all():
+            raise ValueError("vectors has a non-finite entry")
         k, n = vecs.shape
         if k > n:
             raise ValueError("cannot fit %d orthonormal vectors in C^%d" % (k, n))
@@ -319,10 +325,12 @@ def schmidt_rank(state: PureState) -> int:
 
 
 def _truncate_vec(vec: np.ndarray, m: int, n: int, k: int) -> np.ndarray:
-    """Best Schmidt-rank-<=k approximation of ``vec`` (not normalized)."""
-    u, s, vh = np.linalg.svd(vec.reshape(m, n), full_matrices=False)
-    kk = min(k, s.size)
-    return (u[:, :kk] * s[:kk]) @ vh[:kk, :]
+    """Best Schmidt-rank-<=k approximation of ``vec`` (not normalized), as
+    an m x n matrix; a stack of vectors (..., m*n) gives (..., m, n)."""
+    u, s, vh = np.linalg.svd(vec.reshape(vec.shape[:-1] + (m, n)),
+                             full_matrices=False)
+    kk = min(k, m, n)
+    return (u[..., :kk] * s[..., None, :kk]) @ vh[..., :kk, :]
 
 
 def truncate_schmidt(state: PureState, k: int) -> PureState:

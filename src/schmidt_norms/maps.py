@@ -14,11 +14,13 @@ The two map norms are multi-restart see-saws with exact inner steps:
   rank-1 projections are extreme among Hermitian trace-ball elements, so this
   is a projected-gradient ascent on the sphere, one eigh per trial point.
 
-Both run ``optim.ascend`` and report as ``norms.NormEstimate`` does.  On a
-completely positive map both are closed forms, flagged exact, with no
-search: ||Phi(I)|| (Russo-Dye) and lambda_max(Tr_out J(Phi)).  The kernels
-``idk_apply`` and ``idk_pairing_matrix`` are gemms on transposed layouts of
-the Choi tensor.
+Both run their restarts as the rows of one stacked ascent
+(``optim.ascend_rows``, ``optim.sphere_ascent``), one batched SVD or eigh
+per step, and report as ``norms.NormEstimate`` does.  On a completely
+positive map both are closed forms, flagged exact, with no search: ||Phi(I)||
+(Russo-Dye) and lambda_max(Tr_out J(Phi)).  The kernels ``idk_apply`` and
+``idk_pairing_matrix`` are gemms on transposed layouts of the Choi tensor,
+and take a leading stack axis.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .linalg import (
     operator_norm,
     trace_norm,
 )
-from .optim import (RestartOutcome, SeeSawConfig, ascend, projected_step,
-                    run_restarts, search_metadata)
+from .optim import (SeeSawConfig, _row_dot, ascend_rows, restart_rngs,
+                    search_metadata, sphere_ascent)
 from .rand import random_unit_vector
 
 __all__ = [
@@ -155,25 +157,29 @@ def apply(phi: MapRepr, x: np.ndarray) -> np.ndarray:
 
 
 def idk_apply(phi: MapRepr, x: np.ndarray, k: int) -> np.ndarray:
-    """(id_k (x) Phi)(X) for X on C^k (x) C^r."""
+    """(id_k (x) Phi)(X) for X on C^k (x) C^r, or for a stack of them."""
     r, n = phi.in_dim, phi.out_dim
     x = np.asarray(x, dtype=complex)
-    if x.shape != (k * r, k * r):
+    if x.ndim not in (2, 3) or x.shape[-2:] != (k * r, k * r):
         raise ValueError("input shape %r, expected %r" % (x.shape, (k * r,) * 2))
-    xs = x.reshape(k, r, k, r).transpose(0, 2, 1, 3).reshape(k * k, r * r)  # (p q, i j)
-    js = phi.j4().transpose(0, 2, 1, 3).reshape(r * r, n * n)              # (i j, a b)
-    out = np.dot(xs, js).reshape(k, k, n, n).transpose(0, 2, 1, 3)         # (p, a, q, b)
-    return out.reshape(k * n, k * n)
+    xs = x.reshape(-1, k, r, k, r).transpose(0, 1, 3, 2, 4).reshape(-1, r * r)  # (s p q, i j)
+    js = phi.j4().transpose(0, 2, 1, 3).reshape(r * r, n * n)                  # (i j, a b)
+    out = np.dot(xs, js).reshape(-1, k, k, n, n).transpose(0, 1, 3, 2, 4)      # (s, p, a, q, b)
+    return out.reshape(x.shape[:-2] + (k * n, k * n))
 
 
 def idk_pairing_matrix(phi: MapRepr, v: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    """Y with <v|(id_k (x) Phi)(X)|w> = Tr(X Y) for every X on C^k (x) C^r."""
+    """Y with <v|(id_k (x) Phi)(X)|w> = Tr(X Y) for every X on C^k (x) C^r,
+    or the stack of them for stacks of v and w."""
     r, n = phi.in_dim, phi.out_dim
-    v4 = np.asarray(v, dtype=complex).reshape(k, n)
-    w4 = np.asarray(w, dtype=complex).reshape(k, n)
-    t = np.dot(phi.choi.mat.reshape(r * n * r, n), w4.T).reshape(r, n, r, k)  # (i, a, j, q)
-    y = np.dot(v4.conj(), t.transpose(1, 0, 2, 3).reshape(n, r * r * k))        # (p, i j q)
-    return y.reshape(k, r, r, k).transpose(3, 2, 0, 1).reshape(k * r, k * r)
+    v4 = np.asarray(v, dtype=complex).reshape(-1, k, n)
+    w4 = np.asarray(w, dtype=complex).reshape(-1, n)
+    s = v4.shape[0]
+    t = np.dot(phi.choi.mat.reshape(r * n * r, n), w4.T)                         # (i a j, s q)
+    t = t.reshape(r, n, r, s, k).transpose(3, 1, 0, 2, 4).reshape(s, n, r * r * k)
+    y = np.matmul(v4.conj(), t)                                                  # (s, p, i j q)
+    y = y.reshape(s, k, r, r, k).transpose(0, 4, 3, 1, 2)                        # (s, q, j, p, i)
+    return y.reshape(np.shape(v)[:-1] + (k * r, k * r))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +248,9 @@ class MapNormEstimate:
 
 
 def _polar_trace_step(y: np.ndarray) -> np.ndarray:
-    """Polar factor of Y^dagger: the X, ||X|| <= 1, maximizing Re Tr(X Y)."""
+    """Polar factors of a stack of Y^dagger: each X, ||X|| <= 1, max Re Tr(X Y)."""
     u, _, vh = np.linalg.svd(y)
-    return vh.conj().T @ u.conj().T
+    return np.matmul(vh.conj().transpose(0, 2, 1), u.conj().transpose(0, 2, 1))
 
 
 def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNormEstimate:
@@ -266,22 +272,17 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
 
     def evaluate(x: np.ndarray):
         u, s, vh = np.linalg.svd(idk_apply(phi, x, k))
-        return float(s[0]), (x, u[:, 0], vh[0, :].conj())
+        return s[:, 0], (x, u[:, :, 0], vh[:, 0, :].conj())
 
-    def step(_value: float, state):
-        _, v, w = state
-        return evaluate(_polar_trace_step(idk_pairing_matrix(phi, v, w, k)))
+    def step(_value, state):  # state (x, v, w): the next x from (v, w)
+        new, state = evaluate(_polar_trace_step(idk_pairing_matrix(phi, *state[1:], k)))
+        return new, state, np.ones(new.size, dtype=bool)
 
-    def worker(restart: int, rng: np.random.Generator) -> RestartOutcome:
-        if restart == 0:
-            x = np.eye(k * r, dtype=complex)
-        else:
-            x = _polar_trace_step(idk_pairing_matrix(
-                phi, random_unit_vector(k * n, rng),
-                random_unit_vector(k * n, rng), k))
-        return ascend(*evaluate(x), step, cfg)
-
-    best, outcomes = run_restarts(worker, cfg)
+    v, w = np.array([[random_unit_vector(k * n, rng) for _ in range(2)]
+                     for rng in restart_rngs(cfg)]).transpose(1, 0, 2)
+    x = _polar_trace_step(idk_pairing_matrix(phi, v, w, k))
+    x[0] = np.eye(k * r)
+    best, outcomes = ascend_rows(*evaluate(x), step, cfg)
     return MapNormEstimate(value=best.value, direction="lower",
                            attaining_input=best.payload[0],
                            **search_metadata(best, outcomes))
@@ -297,9 +298,9 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
     A completely positive map has positive outputs, whose trace norm is the
     trace <u|I_k (x) M^T|u> with M = Tr_out J(Phi): the closed form
     lambda_max(M) at u = e_1 (x) conj(top eigenvector of M), flagged exact,
-    with no search.  Otherwise each evaluation takes one eigh of the output's
-    Hermitian part, which gives the value (sum of |lambda|) and the sign
-    matrix of the ascent direction.
+    with no search.  Otherwise each evaluation takes one eigh row of the
+    output's Hermitian part, which gives the value (sum of |lambda|) and the
+    sign matrix of the ascent direction.
     """
     cfg = cfg or SeeSawConfig()
     if k < 1:
@@ -318,35 +319,23 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
     jt = j4.transpose(1, 3, 0, 2).reshape(n * n, r * r)  # (a b, i j)
 
     def value_at(u: np.ndarray):
-        a = idk_apply(phi, np.outer(u, u.conj()), k)
-        vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-        return float(np.sum(np.abs(vals))), (vals, vecs)
+        a = idk_apply(phi, u[:, :, None] * u.conj()[:, None, :], k)
+        vals, vecs = np.linalg.eigh((a + a.conj().transpose(0, 2, 1)) / 2.0)
+        return np.sum(np.abs(vals), axis=1), (vals, vecs)
 
     def direction(u: np.ndarray, eig) -> np.ndarray:
-        # (id_k (x) Phi)^* of the sign matrix, as the (q j, p i) matrix
+        # (id_k (x) Phi)^* of each sign matrix, as the (q j, p i) matrix
         vals, vecs = eig
-        sign = (vecs * np.sign(vals)) @ vecs.conj().T                  # (q b, p a)
-        st = sign.reshape(k, n, k, n).transpose(2, 0, 3, 1).reshape(k * k, n * n)
-        kmat = np.dot(st, jt).reshape(k, k, r, r).transpose(1, 3, 0, 2)  # (q, j, p, i)
-        g = kmat.reshape(d, d) @ u
-        return g - u * (u.conj() @ g)
+        sign = np.matmul(vecs * np.sign(vals)[:, None, :],
+                         vecs.conj().transpose(0, 2, 1))                    # (s, q b, p a)
+        st = sign.reshape(-1, k, n, k, n).transpose(0, 3, 1, 4, 2).reshape(-1, n * n)
+        kmat = np.dot(st, jt).reshape(-1, k, k, r, r).transpose(0, 2, 4, 1, 3)  # (s, q, j, p, i)
+        g = np.matmul(kmat.reshape(-1, d, d), u[:, :, None])[:, :, 0]
+        return g - u * _row_dot(u, g)[:, None]
 
-    def normalize(u: np.ndarray) -> np.ndarray:
-        return u / np.linalg.norm(u)
-
-    def worker(restart: int, rng: np.random.Generator) -> RestartOutcome:
-        if restart == 0:
-            u = np.zeros((k, r), dtype=complex)
-            for t in range(min(k, r)):
-                u[t, t] = 1.0
-            u = u.reshape(-1) / np.sqrt(min(k, r))
-        else:
-            u = random_unit_vector(d, rng)
-        val, eig = value_at(u)
-        step = projected_step(value_at, direction, normalize, 0.5, 1e-14)
-        return ascend(val, (u, eig), step, cfg)
-
-    best, outcomes = run_restarts(worker, cfg)
+    u = np.array([random_unit_vector(d, rng) for rng in restart_rngs(cfg)])
+    u[0] = np.eye(k, r).reshape(-1) / np.sqrt(min(k, r))
+    best, outcomes = sphere_ascent(value_at, direction, u, 0.5, 1e-14, cfg)
     return MapNormEstimate(value=best.value, direction="lower",
                            attaining_input=PureState((k, r), best.payload[0]),
                            **search_metadata(best, outcomes))

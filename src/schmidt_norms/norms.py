@@ -34,8 +34,9 @@ Norms implemented here:
 ``omin_norm`` and ``min_order_norm`` run on ``optim.frame_search`` (as does
 ``cones.k_block_positivity``), which solves a vacuous rank constraint (k = n,
 or k = m for one vector) once on X; the value is the witness form |<u|X|w>|.
-Every search runs ``optim.ascend``; see :class:`NormEstimate` for what the
-metadata reports.
+``sk_norm`` runs its restarts as the rows of one stacked see-saw
+(``optim.ascend_rows``, one batched SVD per half-step); the frame ascents run
+theirs one at a time (see ``optim``).  :class:`NormEstimate` has the metadata.
 """
 
 from __future__ import annotations
@@ -58,12 +59,12 @@ from .linalg import (
     operator_norm,
 )
 from .optim import (
-    RestartOutcome,
     SeeSawConfig,
-    ascend,
+    _row_dot,
+    ascend_rows,
     compress_tensor,
     frame_search,
-    run_restarts,
+    restart_rngs,
     search_metadata,
 )
 from .rand import random_sr_k_vector
@@ -121,23 +122,20 @@ class NormEstimate:
 
 
 def _sk_step(xm: np.ndarray, m: int, n: int, k: int):
-    """One see-saw step for :func:`optim.ascend` over states (v, w): both
+    """The see-saw step for :func:`optim.ascend_rows` over rows (v, w): both
     half-steps, each the renormalized Schmidt truncation of X w (then of
-    X^dagger v), returning the full-step value; None if a truncation vanishes."""
+    X^dagger v); a row whose truncation vanishes does not move."""
     def truncate(z: np.ndarray):
-        t = _truncate_vec(z, m, n, k).reshape(-1)
-        nt = np.linalg.norm(t)
-        return None if nt < 1e-300 else t / nt
+        t = _truncate_vec(z, m, n, k).reshape(z.shape)
+        nt = np.linalg.norm(t, axis=1)
+        small = nt < 1e-300
+        return t / np.where(small, 1.0, nt)[:, None], ~small
 
-    def step(_value: float, state):
-        v = truncate(xm @ state[1])
-        if v is None:
-            return None
-        y = xm.conj().T @ v
-        w = truncate(y)
-        if w is None:
-            return None
-        return float(np.real(w.conj() @ y)), (v, w)
+    def step(_value, state):
+        v, v_ok = truncate(state[1] @ xm.T)
+        y = v @ xm.conj()  # rows of X^dagger v
+        w, w_ok = truncate(y)
+        return _row_dot(w, y).real, (v, w), v_ok & w_ok
 
     return step
 
@@ -161,16 +159,11 @@ def sk_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> No
                                PureState((m, n), vh[0, :].conj())))
         return NormEstimate(value=val, direction="exact", witness=wit)
     xm = X.mat
-    step = _sk_step(xm, m, n, k)
-
-    def worker(_r: int, rng: np.random.Generator) -> RestartOutcome:
-        v = random_sr_k_vector((m, n), k, rng).amplitudes
-        w = random_sr_k_vector((m, n), k, rng).amplitudes
-        return ascend(float(np.abs(v.conj() @ xm @ w)), (v, w), step, cfg)
-
-    best, outcomes = run_restarts(worker, cfg)
-    v, w = best.payload
-    wit = Witness(vectors=(PureState((m, n), v), PureState((m, n), w)))
+    v, w = np.array([[random_sr_k_vector((m, n), k, rng).amplitudes for _ in range(2)]
+                     for rng in restart_rngs(cfg)]).transpose(1, 0, 2)
+    best, outcomes = ascend_rows(np.abs(_row_dot(v, w @ xm.T)), (v, w),
+                                 _sk_step(xm, m, n, k), cfg)
+    wit = Witness(vectors=tuple(PureState((m, n), x) for x in best.payload))
     return NormEstimate(value=best.value, direction="lower", witness=wit,
                         **search_metadata(best, outcomes))
 

@@ -1,20 +1,23 @@
-"""Shared optimizer plumbing: the one ascent loop, the restart driver,
-frame compressions, and :func:`frame_search`, the one driver behind
+"""Shared optimizer plumbing: the ascent loops, :func:`run_restarts`, frame
+compressions, and :func:`frame_search`, the one frame search behind
 ``omin_norm``, ``min_order_norm`` and ``k_block_positivity``.
 
-Every search is a monotone ascent with an exact inner step and runs
-:func:`ascend`, which logs one value per step: the ``sk_norm`` and
-``idk_op_norm`` see-saws with their own steps, the frame ascent and the
-sphere ascent of ``hermitian_trace_norm`` with :func:`projected_step`, each
-keeping its own retraction, first step and gradient floor.  Each line
-search first tries the long Barzilai-Borwein step length from the last two
-points, capped at 1 (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988; Wen &
-Yin, Math. Program. 142, 2013), and halves it on failure.  A frame ascent
-may also pass a screen: a lower bound on the objective, read off the
-incumbent's term, that rejects a trial step before its inner solve
-(``min_order_norm`` screens its angle search this way).  A minimum, as
-in ``k_block_positivity``, is searched as the supremum of the negated
-objective.  The frame ascent retracts by :func:`_retract`, a
+Every search is a monotone ascent with an exact inner step that logs one
+value per step.  The ``sk_norm`` and ``idk_op_norm`` see-saws and the sphere
+ascent of ``hermitian_trace_norm`` run their restarts as the rows of one
+stacked ascent (:func:`ascend_rows`, :func:`sphere_ascent`), one batched SVD
+or eigh per step for all active rows: on matrices of at most 6 x 6, numpy's
+per-call overhead costs more than the arithmetic.  The frame ascent runs its
+restarts one by one through :func:`ascend` and :func:`projected_step`, which
+serve it alone, since the benchmark's tracer counts one ``frame_ascent`` call
+per restart and reads each call's history.  Each line search first tries the long Barzilai-Borwein
+step length from the last two points, capped at 1 (Barzilai & Borwein, IMA
+J. Numer. Anal. 8, 1988; Wen & Yin, Math. Program. 142, 2013), and halves it
+on failure.  A frame ascent may also pass a screen: a lower bound on the
+objective, read off the incumbent's term, that rejects a trial step before
+its inner solve (``min_order_norm`` screens its angle search this way).  A
+minimum, as in ``k_block_positivity``, is searched as the supremum of the
+negated objective.  The frame ascent retracts by :func:`_retract`, a
 Gram-Schmidt thin QR factor: several times cheaper than LAPACK QR on these
 small frames, and accurate because a step of length at most 1 from an
 orthonormal frame along a unit tangent has condition number at most
@@ -39,9 +42,10 @@ import numpy as np
 from .linalg import BipartiteOperator, Frame, PureState
 from .rand import RandomConfig, random_isometry
 
-__all__ = ["SeeSawConfig", "RestartOutcome", "run_restarts", "iterations",
-           "search_metadata", "ascend", "projected_step", "frame_ascent",
-           "frame_search", "compress_tensor", "lift_from_frame"]
+__all__ = ["SeeSawConfig", "RestartOutcome", "restart_rngs", "run_restarts",
+           "iterations", "search_metadata", "ascend", "ascend_rows",
+           "projected_step", "sphere_ascent", "frame_ascent", "frame_search",
+           "compress_tensor", "lift_from_frame"]
 
 _MAX_HALVINGS = 5
 
@@ -75,12 +79,16 @@ class RestartOutcome:
     converged: bool
 
 
+def restart_rngs(cfg: SeeSawConfig) -> list:
+    """One generator per restart, restart r's from ``cfg.rng.stream(r)``."""
+    return [cfg.rng.stream(r).generator() for r in range(cfg.restarts)]
+
+
 def run_restarts(worker, cfg: SeeSawConfig):
     """Run ``worker(restart_index, rng)`` for each restart in order and
     return (best, outcomes), best being the outcome of largest value; ties
     resolve to the first index."""
-    outcomes = [worker(r, cfg.rng.stream(r).generator())
-                for r in range(cfg.restarts)]
+    outcomes = [worker(r, rng) for r, rng in enumerate(restart_rngs(cfg))]
     return max(outcomes, key=lambda out: out.value), outcomes
 
 
@@ -97,7 +105,7 @@ def search_metadata(best: RestartOutcome, outcomes) -> dict:
 
 
 def ascend(value: float, state, step, cfg: SeeSawConfig) -> RestartOutcome:
-    """The one monotone ascent loop.
+    """The monotone ascent loop of one frame-ascent restart.
 
     ``step(value, state)`` returns (new value, new state), or None when no
     improving move exists.  The loop stops as converged on None or when the
@@ -118,10 +126,45 @@ def ascend(value: float, state, step, cfg: SeeSawConfig) -> RestartOutcome:
     return RestartOutcome(value, state, history, False)
 
 
+def ascend_rows(value, state: tuple, step, cfg: SeeSawConfig):
+    """:func:`ascend` on stacked restarts, row r of ``value`` and of each
+    array in ``state`` being restart r.  ``step(value, state)`` gets the
+    active rows, as copies it may change, and returns (new values, new state,
+    moved), ``moved`` marking the rows with an improving move.  Each row stops
+    by :func:`ascend`'s rule and logs the history it would log alone.
+    Returns (best, outcomes) as :func:`run_restarts` does, each payload being
+    a row of the last state.
+    """
+    value = np.array(value, dtype=float)
+    state = tuple(np.array(s) for s in state)
+    history = [[v] for v in value.tolist()]
+    converged = np.zeros(value.size, dtype=bool)
+    rows = np.arange(value.size)
+    for _ in range(cfg.max_iters):
+        if rows.size == 0:
+            break
+        new, new_state, moved = step(value[rows], tuple(s[rows] for s in state))
+        up, new = rows[moved], new[moved]
+        stop = ~moved
+        stop[moved] = new - value[up] < cfg.obj_tol
+        value[up] = new
+        for s, t in zip(state, new_state):
+            s[up] = t[moved]
+        for r, v in zip(up.tolist(), new.tolist()):
+            history[r].append(v)
+        converged[rows[stop]] = True
+        rows = rows[~stop]
+    outcomes = [RestartOutcome(float(value[r]), tuple(s[r] for s in state),
+                               history[r], bool(converged[r]))
+                for r in range(value.size)]
+    return max(outcomes, key=lambda out: out.value), outcomes
+
+
 def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
                    screen=None):
-    """The line search of the frame and sphere ascents, as an :func:`ascend`
-    step over states (x, data) with ``evaluate(x) -> (value, data)``.
+    """The line search of the frame ascent, as an :func:`ascend` step over
+    states (x, data) with ``evaluate(x) -> (value, data)``;
+    :func:`sphere_ascent` runs the same search on stacked rows.
 
     The tangent ``direction(x, data)`` ends the search when shorter than
     ``grad_tol``; normalized, it is tried with at most ``_MAX_HALVINGS + 1``
@@ -131,9 +174,9 @@ def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
     on the Stiefel manifold, Wen & Yin, Math. Program. 142, 2013) from the
     last two points: with s = x - x_prev and y = g - g_prev, g the tangent
     before normalization, t = min(1, |g| <s,s> / |Re<s,y>|).  On the first
-    step of a search, or when Re<s,y> = 0, it is ``eta`` (0.25 for frames,
-    0.5 for the sphere), so every trial has t <= 1.  Build one step per
-    search: it keeps the previous point and tangent.
+    step of a search, or when Re<s,y> = 0, it is ``eta`` (0.25 for frames),
+    so every trial has t <= 1.  Build one step per search: it keeps the
+    previous point and tangent.
 
     ``screen(x, data)``, when given, is a cheap lower bound on the value at
     the trial point x, built from the incumbent's ``data``.  A trial it puts
@@ -167,6 +210,52 @@ def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
         return None
 
     return step
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_r|b_r> for every row r."""
+    return np.einsum("ij,ij->i", a.conj(), b)
+
+
+def sphere_ascent(evaluate, direction, x: np.ndarray, eta: float,
+                  grad_tol: float, cfg: SeeSawConfig):
+    """:func:`projected_step`'s search on the unit sphere by
+    :func:`ascend_rows`, restart r starting at row r of x.  ``evaluate(x) ->
+    (values, data)`` and ``direction(x, data)`` take stacked rows, ``data`` a
+    tuple of row arrays.  Each row keeps its own first trial, halvings and
+    (s, y) pair, trying ``eta`` on its first step and where Re<s,y> = 0; a
+    trial is x + t g / |g| normalized.  Each payload starts with its point.
+    """
+    def step(value, state):
+        x, x_prev, g_prev, *data = state
+        g = direction(x, tuple(data))
+        gnorm = np.sqrt(_row_dot(g, g).real)
+        s, y = x - x_prev, g - g_prev
+        sy = np.abs(_row_dot(s, y).real)
+        t = np.full(value.size, eta)
+        bb = sy > 0.0
+        t[bb] = np.minimum(1.0, gnorm[bb] * _row_dot(s, s).real[bb] / sy[bb])
+        long = ~(gnorm < grad_tol)  # NaN searches on, as in projected_step
+        rows = np.flatnonzero(long)
+        unit = g / np.where(long, gnorm, 1.0)[:, None]
+        new, x_new, moved = value.copy(), x.copy(), np.zeros(value.size, dtype=bool)
+        for _ in range(_MAX_HALVINGS + 1):
+            if rows.size == 0:
+                break
+            trial = x[rows] + t[rows, None] * unit[rows]
+            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+            val, trial_data = evaluate(trial)
+            up = val > value[rows]
+            hit = rows[up]
+            new[hit], x_new[hit], moved[hit] = val[up], trial[up], True
+            for d, e in zip(data, trial_data):
+                d[hit] = e[up]
+            rows = rows[~up]
+            t[rows] /= 2.0
+        return new, (x_new, x, g, *data), moved
+
+    value, data = evaluate(x)
+    return ascend_rows(value, (x, x, np.zeros_like(x), *data), step, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,11 @@ def test_bipartite_operator_shape_validation():
     op = BipartiteOperator(dims=(2, 3), mat=np.eye(6))
     assert op.m == 2 and op.n == 3
     assert op.blocks().shape == (2, 3, 2, 3)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        mat = np.eye(6, dtype=complex)
+        mat[2, 4] = bad
+        with pytest.raises(ValueError, match="mat has a non-finite entry"):
+            BipartiteOperator(dims=(2, 3), mat=mat)
 
 
 def test_blocks_index_convention():
@@ -55,6 +60,10 @@ def test_pure_state_normalization_check():
         PureState(dims=(2, 2), amplitudes=np.array([1.0, 1.0, 0, 0]))
     st = PureState(dims=(2, 2), amplitudes=np.array([1.0, 1.0, 0, 0]) / np.sqrt(2))
     assert st.matrix_form().shape == (2, 2)
+    # a NaN norm would pass the unit check
+    for bad in (np.nan, np.inf, complex(np.nan, 0.0)):
+        with pytest.raises(ValueError, match="amplitudes has a non-finite entry"):
+            PureState(dims=(2, 2), amplitudes=np.array([1.0, 0, 0, bad]))
 
 
 def test_pure_state_rejects_non_positive_dims():
@@ -260,6 +269,9 @@ def test_frame_orthonormality_validation():
     Frame(vectors=good)
     with pytest.raises(ValueError):
         Frame(vectors=np.array([[1.0, 0, 0], [1.0, 0, 0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="vectors has a non-finite entry"):
+            Frame(vectors=np.array([[1.0, 0, 0], [0, 1.0, bad]]))
 
 
 def test_random_reproducibility():

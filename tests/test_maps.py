@@ -254,22 +254,24 @@ def test_cp_map_norms_take_the_closed_forms(monkeypatch):
 
 
 def test_htn_one_eigh_per_evaluation_and_no_search_on_cp(monkeypatch):
-    # counted, not timed: each trial point of the sphere ascent takes one
-    # eigh (value and sign matrix) and no SVD; CP maps run no search
+    # counted, not timed: each trial point of the stacked sphere ascent takes
+    # one eigh row (value and sign matrix) and no SVD; CP maps run no search.
+    # A call on a stack counts its leading dimension, one row per point.
     counts = {"eigh": 0, "svd": 0, "idk_apply": 0}
 
-    def counted(name, fn):
+    def counted(name, fn, pos):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            a = np.asarray(args[pos])
+            counts[name] += a.shape[0] if a.ndim == 3 else 1
             return fn(*args, **kwargs)
         return wrapper
 
     rng = RandomConfig(seed=38).generator()
     phi = _random_hp_map(3, 3, rng)
     assert not phi.is_cp()
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    monkeypatch.setattr(maps, "idk_apply", counted("idk_apply", maps.idk_apply))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh, 0))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd, 0))
+    monkeypatch.setattr(maps, "idk_apply", counted("idk_apply", maps.idk_apply, 1))
     est = hermitian_trace_norm(phi, 2, _cfg(39, restarts=3, max_iters=60))
     assert est.iterations > 3
     assert counts["idk_apply"] > est.iterations
@@ -278,7 +280,8 @@ def test_htn_one_eigh_per_evaluation_and_no_search_on_cp(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("search run on a CP map")
 
-    monkeypatch.setattr(maps, "run_restarts", forbidden)
+    for engine in ("ascend_rows", "sphere_ascent"):
+        monkeypatch.setattr(maps, engine, forbidden)
     cp = _random_kraus_map(3, 3, rng)
     for k in (1, 2):
         hermitian_trace_norm(cp, k, _cfg(39))

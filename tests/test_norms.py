@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schmidt_norms import fixtures, norms, optim
+from schmidt_norms import fixtures, maps, norms, optim
 from schmidt_norms.cones import k_block_positivity
 from schmidt_norms.linalg import (
     BipartiteOperator,
@@ -511,6 +511,35 @@ def test_frame_searches_bit_identical_in_process():
         assert bits(search()) == bits(search())
 
 
+def test_stacked_searches_bit_identical_and_rows_independent():
+    # equal seed, equal result to the bit for the searches that stack their
+    # restarts: values, logs, witnesses and attaining inputs.  A row depends
+    # on its own stream only: the first 2 restarts of a 5-restart search log
+    # what a 2-restart search logs
+    rng = RandomConfig(seed=51).generator()
+    op = _random_op((3, 3), rng)
+    phi = maps.MapRepr.from_choi(_random_hermitian((3, 3), rng))
+    assert not phi.is_cp()
+
+    def bits(est):
+        att = getattr(est, "attaining_input", None)
+        arrays = ([s.amplitudes for s in est.witness.vectors] if att is None
+                  else [getattr(att, "amplitudes", att)])
+        return (est.value, est.iterations, est.converged, est.history,
+                [a.tobytes() for a in arrays])
+
+    five, two = _cfg(52, restarts=5, max_iters=60), _cfg(52, restarts=2, max_iters=60)
+    for search in (lambda cfg: sk_norm(op, 2, cfg),
+                   lambda cfg: maps.idk_op_norm(phi, 2, cfg),
+                   lambda cfg: maps.hermitian_trace_norm(phi, 2, cfg)):
+        assert bits(search(five)) == bits(search(five))
+        logs, alone = search(five).history[:2], search(two).history
+        assert [len(h) for h in logs] == [len(h) for h in alone]
+        assert sum(len(h) - 1 for h in alone) > 10
+        for h, ref in zip(logs, alone):
+            assert np.allclose(h, ref, atol=1e-12, rtol=0)
+
+
 def test_block_positive_decomposition_reconstructs():
     rng = RandomConfig(seed=20).generator()
     op = _random_op((2, 3), rng)
@@ -624,6 +653,14 @@ def test_decomposition_and_dec_bit_identical_in_process():
                 [(complex(lam), p.mat.tobytes()) for lam, p in parts])
 
     assert bits() == bits()
+
+
+def test_maxk_space_bounds_reject_non_finite_operator():
+    # an inf entry used to reach LAPACK and come back as (nan, nan)
+    mat = complex_gaussian(RandomConfig(seed=24).generator(), (6, 6))
+    mat[1, 3] = np.inf
+    with pytest.raises(ValueError, match="mat has a non-finite entry"):
+        maxk_space_norm_bounds(BipartiteOperator(dims=(2, 3), mat=mat), 1)
 
 
 def test_maxk_space_bounds_sandwich():

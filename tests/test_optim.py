@@ -10,11 +10,13 @@ from schmidt_norms.optim import (
     _gradient_layouts,
     _retract,
     ascend,
+    ascend_rows,
     compress_tensor,
     frame_ascent,
     lift_from_frame,
     projected_step,
     run_restarts,
+    sphere_ascent,
 )
 from schmidt_norms.rand import (
     RandomConfig,
@@ -22,6 +24,7 @@ from schmidt_norms.rand import (
     complex_gaussian,
     random_hermitian,
     random_isometry,
+    random_unit_vector,
 )
 
 
@@ -211,11 +214,37 @@ def test_seesaw_config_rejects_bad_budget():
     SeeSawConfig(restarts=1, max_iters=0, obj_tol=0.0)  # smallest valid budget
 
 
+def _scripted_rows(script):
+    """An ascend_rows step that plays script[r][i] as row r's i-th new value,
+    None for no move; the state rows are (restart index, steps taken), so a
+    row stepped after it stopped runs off its script."""
+    def step(value, state):
+        idx, taken = state
+        vals = [script[r][i] for r, i in zip(idx.tolist(), taken.tolist())]
+        moved = np.array([v is not None for v in vals])
+        new = np.array([np.nan if v is None else v for v in vals])
+        return new, (idx, taken + 1), moved
+    return step
+
+
+def _run_rows(start, script, cfg):
+    rows = len(start)
+    return ascend_rows(np.array(start), (np.arange(rows), np.zeros(rows, dtype=int)),
+                       _scripted_rows(script), cfg)
+
+
 def test_ascend_stops_converged_when_no_move():
     cfg = SeeSawConfig(max_iters=10)
     out = ascend(2.0, "start", lambda value, state: None, cfg)
     assert out.converged is True
     assert out.history == [2.0] and out.value == 2.0 and out.payload == "start"
+    # stacked: each row stops at its own first non-move, and a tie between
+    # rows 0 and 2 goes to row 0
+    best, outs = _run_rows([0.0, 3.0, 4.0], [[1.0, 5.0, None], [None], [5.0, None]], cfg)
+    assert [o.history for o in outs] == [[0.0, 1.0, 5.0], [3.0], [4.0, 5.0]]
+    assert all(o.converged for o in outs)
+    assert [int(o.payload[1]) for o in outs] == [2, 0, 1]
+    assert best is outs[0] and best.value == 5.0
     # a direction shorter than grad_tol is "no move" too
     step = projected_step(lambda x: (float(x @ x), None),
                           lambda x, data: np.zeros_like(x), lambda x: x,
@@ -336,6 +365,15 @@ def test_ascend_stops_converged_on_small_gain():
     out = ascend(-10.0, 0, lambda value, state: (value + 2.0, state),
                  SeeSawConfig(max_iters=3, obj_tol=2.0))
     assert out.history == [-10.0, -8.0, -6.0, -4.0] and out.converged is False
+    # stacked: row 1 stops on a small gain at step 2, row 2 on a fall at
+    # step 1 (a step's value is taken even when lower), row 0 at the budget
+    best, outs = _run_rows([-10.0, -10.0, -3.0],
+                           [[-8.0, -6.0, -4.0], [-8.0, -7.0], [-3.5]],
+                           SeeSawConfig(max_iters=3, obj_tol=2.0))
+    assert [o.history for o in outs] == [[-10.0, -8.0, -6.0, -4.0],
+                                         [-10.0, -8.0, -7.0], [-3.0, -3.5]]
+    assert [o.converged for o in outs] == [False, True, True]
+    assert best is outs[2] and best.value == -3.5
 
 
 def test_ascend_zero_budget_is_unconverged():
@@ -343,6 +381,47 @@ def test_ascend_zero_budget_is_unconverged():
                  SeeSawConfig(max_iters=0))
     assert out.history == [3.0]
     assert out.converged is False
+    best, outs = _run_rows([3.0, 1.0, 3.0], [[], [], []], SeeSawConfig(max_iters=0))
+    assert [o.history for o in outs] == [[3.0], [1.0], [3.0]]
+    assert not any(o.converged for o in outs) and best is outs[0]
+
+
+def test_sphere_ascent_rows_follow_the_serial_line_search():
+    # reference: each row alone through ascend and projected_step with the
+    # normalizing retraction, as the sphere ascent ran before it was stacked;
+    # f(u) = Re<u|A u> + |<b|u>|^2 on the unit sphere of C^5
+    rng = _rng(12)
+    a, b = random_hermitian(5, rng), complex_gaussian(rng, 5)
+
+    def evaluate(u):  # stacked rows
+        au, bu = u @ a.T, u @ b.conj()
+        return np.einsum("ij,ij->i", u.conj(), au).real + np.abs(bu) ** 2, (au, bu)
+
+    def direction(u, data):
+        au, bu = data
+        g = 2.0 * au + 2.0 * bu[:, None] * b
+        return g - u * np.einsum("ij,ij->i", u.conj(), g)[:, None]
+
+    def evaluate_one(u):
+        val, (au, bu) = evaluate(u[None])
+        return float(val[0]), (au[0], bu[0])
+
+    def direction_one(u, data):
+        return direction(u[None], tuple(d[None] for d in data))[0]
+
+    starts = np.array([random_unit_vector(5, rng) for _ in range(4)])
+    cfg = SeeSawConfig(max_iters=60, obj_tol=1e-12)
+    best, outs = sphere_ascent(evaluate, direction, starts, 0.5, 1e-14, cfg)
+    for x, out in zip(starts, outs):
+        step = projected_step(evaluate_one, direction_one,
+                              lambda u: u / np.linalg.norm(u), 0.5, 1e-14)
+        val, data = evaluate_one(x)
+        ref = ascend(val, (x, data), step, cfg)
+        assert len(out.history) == len(ref.history) > 3
+        assert np.allclose(out.history, ref.history, atol=1e-12, rtol=0)
+        assert out.converged == ref.converged
+        assert np.allclose(out.payload[0], ref.payload[0], atol=1e-10, rtol=0)
+    assert best is max(outs, key=lambda o: o.value)
 
 
 def test_searched_estimates_report_one_log_per_restart():
