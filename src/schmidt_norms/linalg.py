@@ -15,11 +15,13 @@ The spectral helpers (`operator_norm`, `trace_norm`, `min_eig_hermitian`,
 `numerical_radius`) delegate the eigen/singular work to LAPACK via numpy;
 the value conventions on top of them are fixed here and relied on by the
 optimizers.  The numerical radius is an angle scan refined by Newton steps
-on lambda_max(Re(e^{i theta} x)) (Johnson, SIAM J. Numer. Anal. 15, 1978).
+on lambda_max(Re(e^{i theta} x)) (Johnson, SIAM J. Numer. Anal. 15, 1978),
+in closed form with no LAPACK call when x is 2 x 2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,14 +253,82 @@ def min_eig_hermitian(x) -> float:
 # -- numerical radius -------------------------------------------------------
 
 
-def _numerical_radius_attain(x, grid_points: int = 64, theta_tol: float = 1e-12):
-    """max_theta lambda_max(Re(e^{i theta} x)), its angle and eigenvector: the
-    best of ``grid_points`` angles, refined within one grid step by Newton
-    steps, lambda' = <v|K|v> and lambda'' = -lambda + 2 sum_j |<v_j|K|v>|^2 /
-    (lambda - lambda_j) with K = d Re(e^{i theta} x) / d theta, from the eigh
-    already done.  lambda' shrinks the bracket, bisected where Newton fails
-    (lambda'' >= 0, repeated top eigenvalue, step out of the bracket), until
-    step or bracket is below ``theta_tol``; returns the best angle evaluated."""
+def _newton_bracket(theta: float, a: float, b: float, d1: float, d2, theta_tol: float):
+    """One safeguarded step of the angle search at ``theta`` in [a, b] with
+    lambda' = d1 and lambda'' = d2 (None where Newton does not apply): d1
+    shrinks the bracket towards the uphill side, the Newton step is taken
+    when d2 < 0 and it stays in the bracket, else the bracket is bisected.
+    Returns (next angle or None once step or bracket is below ``theta_tol``,
+    a, b)."""
+    a = theta if d1 >= 0.0 else a  # the maximum lies uphill
+    b = theta if d1 <= 0.0 else b
+    new = (a + b) / 2.0
+    if d2 is not None and d2 < 0.0 and a <= theta - d1 / d2 <= b:
+        new = theta - d1 / d2
+    if abs(new - theta) < theta_tol or b - a < theta_tol:
+        return None, a, b
+    return float(new), a, b
+
+
+def _numerical_radius_2x2(x: np.ndarray, points: int, theta_tol: float):
+    """`_numerical_radius_attain` of a 2 x 2 matrix with no LAPACK call.
+
+    Re(e^{i theta} x) = [[t + u, q], [conj(q), t - u]] with t, u and q linear
+    in (cos theta, sin theta), so lambda_max = t + r, r = sqrt(u^2 + |q|^2):
+    the support function of the elliptical numerical range (C.-K. Li, Proc.
+    AMS 124, 1996).  The best of ``points`` angles is refined by the Newton
+    and bisection rule of `_newton_bracket` on the analytic lambda' and
+    lambda'' in scalar arithmetic; where r = 0 (x = c I) lambda = t alone.
+    The eigenvector of t + r is (r + u, conj(q)) or (q, r - u), whichever
+    has the larger norm."""
+    (x00, x01), (x10, x11) = x.tolist()
+    # t, u, Re q and Im q are Re(e^{i theta} w) for these w, and their
+    # theta derivatives -Im(e^{i theta} w)
+    wt, wu = (x00 + x11) / 2.0, (x00 - x11) / 2.0
+    wr, wi = (x01 + x10) / 2.0, (x01 - x10) / 2.0j
+    thetas = np.arange(points) * (2.0 * np.pi / points)
+    t, u, qr, qi = (np.array([[w.real, -w.imag] for w in (wt, wu, wr, wi)])
+                    @ np.array((np.cos(thetas), np.sin(thetas))))
+    theta = float(thetas[np.argmax(t + np.hypot(u, np.hypot(qr, qi)))])
+    a, b = theta - 2.0 * np.pi / points, theta + 2.0 * np.pi / points
+    top = (-np.inf,)
+    while True:
+        z = complex(math.cos(theta), math.sin(theta))
+        zt, zu, zr, zi = z * wt, z * wu, z * wr, z * wi
+        t, u, qr, qi = zt.real, zu.real, zr.real, zi.real
+        r = math.hypot(u, qr, qi)
+        if t + r > top[0]:
+            top = (t + r, theta, u, complex(qr, qi), r)
+        d1, d2 = -zt.imag, -t
+        if r > 0.0:
+            u1, qr1, qi1 = -zu.imag, -zr.imag, -zi.imag
+            r1 = (u * u1 + qr * qr1 + qi * qi1) / r
+            d1 += r1
+            d2 += (u1 * u1 + qr1 * qr1 + qi1 * qi1 - r1 * r1) / r - r
+        theta, a, b = _newton_bracket(theta, a, b, d1, d2, theta_tol)
+        if theta is None:
+            break
+    val, theta, u, q, r = top
+    if r == 0.0:
+        return val, theta, np.array([1.0, 0.0], dtype=complex)
+    vec = [r + u, q.conjugate()] if u >= 0.0 else [q, r - u]
+    return val, theta, np.array(vec, dtype=complex) / math.sqrt(2.0 * r * (r + abs(u)))
+
+
+def _numerical_radius_attain(x, grid_points: int = 64, theta_tol: float = 1e-12,
+                             warm=None):
+    """max_theta lambda_max(Re(e^{i theta} x)), its angle and eigenvector.
+
+    A 2 x 2 x takes `_numerical_radius_2x2` on max(4 grid_points, 64)
+    angles.  Any other x takes the best of ``grid_points`` angles from one
+    batched eigvalsh, refined within one grid step by Newton steps, lambda' =
+    <v|K|v> and lambda'' = -lambda + 2 sum_j |<v_j|K|v>|^2 / (lambda -
+    lambda_j) with K = d Re(e^{i theta} x) / d theta, from the eigh already
+    done, by the rule of `_newton_bracket`, until step or bracket is below
+    ``theta_tol``.  ``warm`` = (theta, eigenvalues, eigenvectors), an eigh of
+    Re(e^{i theta} x) already done, starts Newton at that angle with no eigh
+    when it lies in the grid winner's bracket; the grid still picks the
+    bracket.  Returns the best angle evaluated."""
     x = _as_complex(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("numerical_radius expects a square matrix")
@@ -268,7 +338,9 @@ def _numerical_radius_attain(x, grid_points: int = 64, theta_tol: float = 1e-12)
         raise ValueError("grid_points must be >= 1")
     if not 0.0 < theta_tol < np.inf:
         raise ValueError("theta_tol must be finite and > 0")
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    if x.shape[0] == 2:
+        return _numerical_radius_2x2(x, max(4 * grid_points, 64), theta_tol)
+    thetas = np.arange(grid_points) * (2.0 * np.pi / grid_points)
     # Re(e^{i(theta + pi)} x) = -Re(e^{i theta} x): an even grid reads its
     # second half off the bottom eigenvalues of the first
     half = grid_points // 2 if grid_points % 2 == 0 else grid_points
@@ -277,31 +349,33 @@ def _numerical_radius_attain(x, grid_points: int = 64, theta_tol: float = 1e-12)
     grid = vals[:, -1] if half == grid_points else np.concatenate((vals[:, -1], -vals[:, 0]))
     theta = float(thetas[np.argmax(grid)])
     a, b = theta - 2.0 * np.pi / grid_points, theta + 2.0 * np.pi / grid_points
+    eig = None
+    if warm is not None:
+        start = theta + (warm[0] - theta + np.pi) % (2.0 * np.pi) - np.pi
+        if a <= start <= b:
+            theta, eig = float(start), warm[1:]
     top = (-np.inf, theta, None)
     while True:
         px = np.exp(1j * theta) * x
-        vals, vecs = np.linalg.eigh((px + px.conj().T) / 2.0)
+        vals, vecs = eig or np.linalg.eigh((px + px.conj().T) / 2.0)
+        eig = None
         if vals[-1] > top[0]:
             top = (float(vals[-1]), theta, vecs[:, -1])
         # <v_j|K|v> for every eigenvector v_j, v the top one
         kv = vecs.conj().T @ ((px - px.conj().T) @ vecs[:, -1]) * 0.5j
-        d1 = kv[-1].real
-        a = theta if d1 >= 0.0 else a  # the maximum lies uphill
-        b = theta if d1 <= 0.0 else b
-        new = (a + b) / 2.0
         gaps = vals[-1] - vals[:-1]
-        if np.all(gaps > 0.0):
-            d2 = 2.0 * np.sum(np.abs(kv[:-1]) ** 2 / gaps) - vals[-1]
-            if d2 < 0.0 and a <= theta - d1 / d2 <= b:
-                new = theta - d1 / d2
-        if abs(new - theta) < theta_tol or b - a < theta_tol:
+        d2 = 2.0 * np.sum(np.abs(kv[:-1]) ** 2 / gaps) - vals[-1] \
+            if np.all(gaps > 0.0) else None
+        theta, a, b = _newton_bracket(theta, a, b, kv[-1].real, d2, theta_tol)
+        if theta is None:
             return top
-        theta = float(new)
 
 
 def numerical_radius(x, grid_points: int = 64, theta_tol: float = 1e-12) -> float:
     """Numerical radius sup_{|u|=1} |<u|x|u>|, a lower bound: an angle scan
-    refined by Newton steps to ``theta_tol`` (`_numerical_radius_attain`)."""
+    refined by Newton steps to ``theta_tol`` (`_numerical_radius_attain`; a
+    2 x 2 x has the closed-form eigenvalue on 4x the angles and no LAPACK
+    call)."""
     val, _, _ = _numerical_radius_attain(x, grid_points, theta_tol)
     return val
 

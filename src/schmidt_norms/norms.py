@@ -15,8 +15,10 @@ Norms implemented here:
 * ``min_order_norm`` -- same with the numerical radius of the compression,
                         i.e. sup |<v|X|v>| over Schmidt rank <= k; Hermitian
                         X is solved exactly by one eigh per evaluation, other
-                        X screens each trial frame with one eigvalsh before
-                        its angle search.
+                        X screens each trial frame at the incumbent's angle
+                        before its angle search: in closed form on 2 x 2
+                        compressions, by one eigh that the search reuses on
+                        larger ones.
 * ``max_order_norm_upper`` -- proved Hermitian-split bound in closed form:
                         the sum of the one-sided Schmidt-rank radii r_k(H).
 * ``block_positive_decomposition`` -- parts r_k(H) I +- H (plus 1e-8),
@@ -41,6 +43,7 @@ theirs one at a time (see ``optim``).  :class:`NormEstimate` has the metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -187,8 +190,8 @@ def _opnorm_objective(c: np.ndarray):
     return float(s[0]), (1.0 + 0.0j, u[:, 0], vh[0, :].conj())
 
 
-def _numrad_objective(c: np.ndarray):
-    val, theta, vec = _numerical_radius_attain(c, 32, 1e-8)
+def _numrad_objective(c: np.ndarray, warm=None):
+    val, theta, vec = _numerical_radius_attain(c, 32, 1e-8, warm)
     return val, (np.exp(1j * theta), vec, vec)
 
 
@@ -197,9 +200,37 @@ def _numrad_screen(c: np.ndarray, term) -> float:
     theta} c)) at the incumbent's angle, term[0] = e^{i theta}, from one
     eigvalsh.  Every fixed angle gives a lower bound on the numerical radius
     of c, and at the objective's own term this is its value; by Danskin's
-    theorem the two share their first-order change there."""
+    theorem the two share their first-order change there.  A 2 x 2 c takes
+    the closed form mean + sqrt(half-difference^2 + |off-diagonal|^2) of
+    the Hermitian part instead."""
     pc = term[0] * c
+    if pc.shape[0] == 2:
+        (a, b), (e, d) = pc.tolist()
+        return (a + d).real / 2.0 + math.hypot((a - d).real / 2.0,
+                                               abs(b + e.conjugate()) / 2.0)
     return float(np.linalg.eigvalsh((pc + pc.conj().T) / 2.0)[-1])
+
+
+def _numrad_warm_pair():
+    """(objective, screen) for one non-Hermitian `min_order_norm` call on
+    compressions larger than 2 x 2: the screen is `_numrad_screen` from one
+    eigh instead of one eigvalsh, and the objective on the compression last
+    screened starts its Newton steps from that eigh (the ``warm`` start of
+    `_numerical_radius_attain`).  The two share a one-slot memo keyed on the
+    compression array's identity, which holds because `frame_ascent`
+    compresses each trial frame once for the screen and the objective."""
+    memo = [None, None]  # the compression last screened, and its warm start
+
+    def objective(c: np.ndarray):
+        return _numrad_objective(c, memo[1] if memo[0] is c else None)
+
+    def screen(c: np.ndarray, term) -> float:
+        pc = term[0] * c
+        vals, vecs = np.linalg.eigh((pc + pc.conj().T) / 2.0)
+        memo[:] = c, (float(np.angle(term[0])), vals, vecs)
+        return float(vals[-1])
+
+    return objective, screen
 
 
 def _hermitian_objective(c: np.ndarray):
@@ -243,17 +274,23 @@ def min_order_norm(X: BipartiteOperator, k: int,
 
     Hermitian X has Hermitian compressions, whose numerical radius is
     max(lambda_max, -lambda_min): one eigh per evaluation solves it exactly.
-    Other X use a 32-point angle grid refined by Newton steps to 1e-8, run
-    only at start frames and at trial frames that pass `_numrad_screen`: one
-    eigvalsh at the incumbent's angle, a lower bound on the trial's radius,
-    so every trial it passes is an ascent.
+    Other X run the angle search of `_numerical_radius_attain` to 1e-8 only
+    at start frames and at trial frames that pass the screen: the top
+    eigenvalue at the incumbent's angle, a lower bound on the trial's
+    radius, so every trial it passes is an ascent.  A 2 x 2 compression
+    (m k = 2) is screened and searched in closed form with no LAPACK call; a
+    larger one is screened by one eigh, from which the angle search of a
+    passing trial starts Newton after its 32-angle grid
+    (`_numrad_warm_pair`).
     """
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
     if is_hermitian(X.mat):
         return _frame_norm(X, k, cfg, _hermitian_objective, single_vector=True)
-    return _frame_norm(X, k, cfg, _numrad_objective, single_vector=True,
-                       screen=_numrad_screen)
+    objective, screen = _numrad_objective, _numrad_screen
+    if X.m * k > 2:
+        objective, screen = _numrad_warm_pair()
+    return _frame_norm(X, k, cfg, objective, single_vector=True, screen=screen)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ step length from the last two points, capped at 1 (Barzilai & Borwein, IMA
 J. Numer. Anal. 8, 1988; Wen & Yin, Math. Program. 142, 2013), and halves it
 on failure.  A frame ascent may also pass a screen: a lower bound on the
 objective, read off the incumbent's term, that rejects a trial step before
-its inner solve (``min_order_norm`` screens its angle search this way).  A
-minimum, as in ``k_block_positivity``, is searched as the supremum of the
-negated objective.  The frame ascent retracts by :func:`_retract`, a
-Gram-Schmidt thin QR factor: several times cheaper than LAPACK QR on these
-small frames, and accurate because a step of length at most 1 from an
+its inner solve (``min_order_norm`` screens its angle search this way, and
+on compressions above 2 x 2 the angle search of a passing trial starts
+Newton from the screen's eigh).  A minimum, as in ``k_block_positivity``,
+is searched as the supremum of the negated objective.  The frame ascent
+retracts by :func:`_retract`, a Gram-Schmidt thin QR factor: several times
+cheaper than LAPACK QR on these small frames, and accurate because a step of length at most 1 from an
 orthonormal frame along a unit tangent has condition number at most
 sqrt(2).  Only a restart's Haar start frame goes through LAPACK QR.
 

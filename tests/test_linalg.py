@@ -183,19 +183,97 @@ def test_numerical_radius_grid_one_batched_eigvalsh(monkeypatch):
     assert abs(even - odd) < 1e-10
 
 
+def _eigh_at(x, theta):
+    h = (np.exp(1j * theta) * x + np.exp(-1j * theta) * x.conj().T) / 2.0
+    return (theta,) + tuple(np.linalg.eigh(h))
+
+
 def test_numerical_radius_attainer():
     # the value is lambda_max(Re(e^{i theta} x)) and |<v|x|v>| at the
-    # returned angle and unit vector, for the objective's 32-point, 1e-8 setting too
+    # returned angle and unit vector, for the objective's 32-point, 1e-8
+    # setting too.  At d >= 3 the objective's setting also takes warm starts
+    # (an eigh at some angle): at the cold angle, near it, a turn away and
+    # outside the grid winner's bracket, each gives the cold value
     rng = _rng(41)
     for trial in range(60):
         d = 2 + trial % 8
         x = complex_gaussian(rng, (d, d))
+        cold = {}
         for grid, tol in ((64, 1e-12), (32, 1e-8)):
-            val, theta, vec = _numerical_radius_attain(x, grid, tol)
+            cold[grid] = _numerical_radius_attain(x, grid, tol)
+        theta = cold[32][1]
+        warm = [] if d == 2 else [_eigh_at(x, theta + shift) for shift in
+                                  (0.0, 0.05, -0.05, 2.0 * np.pi, -4.0 * np.pi, np.pi)]
+        runs = [(64, 1e-12, None, cold[64]), (32, 1e-8, None, cold[32])]
+        runs += [(32, 1e-8, w, _numerical_radius_attain(x, 32, 1e-8, w)) for w in warm]
+        for grid, tol, w, (val, theta, vec) in runs:
             h = (np.exp(1j * theta) * x + np.exp(-1j * theta) * x.conj().T) / 2.0
             assert abs(val - np.linalg.eigvalsh(h)[-1]) <= 1e-12
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
             assert abs(abs(vec.conj() @ x @ vec) - val) <= 1e-12
+            assert abs(val - cold[grid][0]) <= 1e-12
+
+
+def test_numerical_radius_warm_start_saves_its_eigh(monkeypatch):
+    # a warm start inside the grid winner's bracket replaces the first eigh
+    # of the Newton steps; one outside it is ignored
+    rng = _rng(43)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(1)
+        return eigh(a, *args, **kwargs)
+
+    for d in range(3, 9):
+        x = complex_gaussian(rng, (d, d))
+        theta = _numerical_radius_attain(x, 32, 1e-8)[1]
+        inside, outside = _eigh_at(x, theta), _eigh_at(x, theta + np.pi)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        counts = []
+        for w in (inside, outside, None):
+            calls.clear()
+            _numerical_radius_attain(x, 32, 1e-8, w)
+            counts.append(len(calls))
+        monkeypatch.undo()
+        assert counts[0] < counts[1] == counts[2]
+
+
+def _parent_misses():
+    """The 2 x 2 draws on which a 32-angle eigvalsh grid with Newton steps
+    to 1e-8 stayed on a local maximum, and a stride through the rest."""
+    rng = _rng(2)
+    xs = [complex_gaussian(rng, (2, 2)) for _ in range(6000)]
+    missed = (1330, 3421, 4613, 5324, 5637, 5758)
+    return [xs[i] for i in missed] + xs[::100]
+
+
+def test_numerical_radius_2x2_reaches_the_angle_scan():
+    # on 6000 draws of 2 x 2 complex Gaussians (seed 2), the 32-angle
+    # eigvalsh grid fell below a 4096-angle scan on six, by 2.1e-4 to
+    # 2.5e-3; the closed-form search on 128 angles misses none of them
+    phases = np.exp(2j * np.pi * np.arange(4096) / 4096)[:, None, None]
+    for x in _parent_misses():
+        scan = np.linalg.eigvalsh((phases * x + phases.conj() * x.conj().T) / 2.0)
+        assert _numerical_radius_attain(x, 32, 1e-8)[0] >= np.max(scan[:, -1]) - 1e-12
+
+
+def test_numerical_radius_2x2_matches_the_eigh_search(monkeypatch):
+    # x padded by a zero row and column has the numerical radius of x and
+    # takes the LAPACK search: a 4096-angle reference for the closed form,
+    # which makes no LAPACK call
+    rng = _rng(44)
+    xs = [complex_gaussian(rng, (2, 2)) for _ in range(40)] + _parent_misses()[:6]
+    refs = [_numerical_radius_attain(np.pad(x, (0, 1)), 4096, 1e-12)[0] for x in xs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK called on a 2 x 2 input")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for x, ref in zip(xs, refs):
+        for grid, tol in ((64, 1e-12), (32, 1e-8)):
+            assert abs(_numerical_radius_attain(x, grid, tol)[0] - ref) <= 1e-10
 
 
 def test_numerical_radius_degenerate_inputs():
@@ -208,7 +286,12 @@ def test_numerical_radius_degenerate_inputs():
         (np.diag([1.0, 2.0j, -1.5]), 2.0),
         (u @ np.diag(eigs) @ u.conj().T, np.max(np.abs(eigs))),   # normal
         (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5),                # Jordan block
+        (np.array([[1.0j, 2.0], [0.0, 1.0j]]), 2.0),              # shifted Jordan
         (np.zeros((3, 3)), 0.0),
+        (np.zeros((2, 2)), 0.0),
+        ((1.5 - 2.0j) * np.eye(2), 2.5),                           # r = 0 everywhere
+        (np.diag([1.0, -3.0j]), 3.0),
+        (np.outer([1.0, 1.0j], [2.0, 0.0]), (2.0 * np.sqrt(2.0) + 2.0) / 2.0),  # rank one
         (np.array([[3.0 - 4.0j]]), 5.0),                           # 1 x 1
         (2.0j * np.eye(3), 2.0),                                   # all repeated
         (np.kron(np.eye(2), a), numerical_radius(a)),              # repeated top

@@ -390,14 +390,18 @@ def _eigh_per_evaluation(monkeypatch, search):
 
 
 def test_lapack_calls_per_frame_evaluation(monkeypatch):
-    # the LAPACK cost of one frame-ascent evaluation, counted, not timed:
-    # the Newton inner solve of a non-Hermitian radius takes a few eigh
-    # calls, the Hermitian route and k-block positivity exactly one
+    # the LAPACK cost of one frame-ascent evaluation, counted, not timed: a
+    # non-Hermitian radius on 2 x 2 compressions is solved in closed form
+    # with no eigh; on 6 x 6 ones the screen takes one eigh, which the
+    # Newton steps of a passing trial reuse; the Hermitian route and k-block
+    # positivity take exactly one
     rng = RandomConfig(seed=45).generator()
     op = _random_op((2, 3), rng)
     herm = _random_hermitian((2, 3), rng)
+    op33 = _random_op((3, 3), rng)
     cfg = _cfg(46, restarts=2, max_iters=60)
-    assert _eigh_per_evaluation(monkeypatch, lambda: min_order_norm(op, 1, cfg)) <= 12
+    assert _eigh_per_evaluation(monkeypatch, lambda: min_order_norm(op, 1, cfg)) == 0
+    assert _eigh_per_evaluation(monkeypatch, lambda: min_order_norm(op33, 2, cfg)) <= 2.0
     assert _eigh_per_evaluation(monkeypatch, lambda: min_order_norm(herm, 1, cfg)) == 1
     assert _eigh_per_evaluation(monkeypatch, lambda: k_block_positivity(herm, 1, cfg)) == 1
 
@@ -416,6 +420,37 @@ def test_numrad_screen_is_a_lower_bound_exact_at_its_term():
         assert _numrad_screen(c, term) == pytest.approx(val, abs=1e-12)
         for coef in np.exp(2j * np.pi * rng.random(20)):
             assert _numrad_screen(c, (coef, None, None)) <= val + 1e-12
+
+
+def test_numrad_warm_pair_shares_the_screen_eigh(monkeypatch):
+    # the pair's screen is `_numrad_screen` from one eigh; the pair's
+    # objective gives `_numrad_objective`'s value, and on the array last
+    # screened it reuses that eigh when the screen's angle lies in the grid
+    # winner's bracket (the incumbent's and a nearby one, not the opposite)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(1)
+        return eigh(a, *args, **kwargs)
+
+    rng = RandomConfig(seed=54).generator()
+    for d in range(3, 9):
+        c = complex_gaussian(rng, (d, d))
+        val, term = _numrad_objective(c)
+        objective, screen = norms._numrad_warm_pair()
+        for coef, inside in ((term[0], True), (term[0] * np.exp(0.05j), True),
+                             (-term[0], False)):
+            assert screen(c, (coef, None, None)) == pytest.approx(
+                _numrad_screen(c, (coef, None, None)), abs=1e-12)
+            monkeypatch.setattr(np.linalg, "eigh", counted)
+            counts = []
+            for x in (c, c.copy()):  # the copy misses the memo
+                calls.clear()
+                assert objective(x)[0] == pytest.approx(val, abs=1e-12)
+                counts.append(len(calls))
+            monkeypatch.undo()
+            assert (counts[0] < counts[1]) == inside
 
 
 def test_numerical_radius_runs_at_starts_and_accepted_steps(monkeypatch):
