@@ -61,10 +61,11 @@ class SeeSawConfig:
     rng: RandomConfig = field(default_factory=RandomConfig)
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        for name, low in (("restarts", 1), ("max_iters", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < low):
+                raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
         if not 0.0 <= self.obj_tol < np.inf:  # also rejects NaN
             raise ValueError("obj_tol must be finite and >= 0")
 

@@ -13,10 +13,18 @@ infima).  The polish budgets are fixed: ``brute_sk_norm``,
 frames (unitaries) and polish the top 32 of them.  Either pool is all
 the draws when there are fewer.
 
-Every polish loop evaluates its objective once per step: the evaluation of
-the accepted candidates (their vectors, norms, values and the matrix
-products the next gradient needs) is carried to the next step instead of
-being recomputed from the parameters.
+Every polish loop evaluates its objective once per step.  The Schmidt-vector
+oracles share ``_polish``: each evaluation returns the candidates' values
+and parameter gradients, and the accepted ones are carried to the next step.
+The loop stops once no candidate moves (each equals its parameters
+exactly): the gradients then belong to unchanged parameters and the steps
+only halve, so the values are those of the full budget bit for bit.
+
+``brute_omin`` orthonormalises its n x k frames by classical Gram-Schmidt
+run twice per column (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
+2005), cheaper there than the LAPACK QR that ``brute_idk_norm`` keeps, and
+reads each top singular value as sqrt(lambda_max(C^dagger C)) from one
+batched ``eigvalsh``.
 
 The three Schmidt-vector oracles keep the sample axis last: A is
 (m, k, samples), B is (n, k, samples), and u = A B^T and the gemm products
@@ -61,22 +69,25 @@ class OracleConfig:
     rng: RandomConfig = field(default_factory=RandomConfig)
 
     def __post_init__(self):
-        if self.samples < 1 or self.polish_steps < 0:
-            raise ValueError("need samples >= 1 and polish_steps >= 0")
+        for name, low in (("samples", 1), ("polish_steps", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < low):
+                raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
 
 
 def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
-    z = rng.standard_normal(shape + (2,))
-    return z[..., 0] + 1j * z[..., 1]
+    """z[..., 0] + i z[..., 1] of (..., 2) normal draws, as a view on them."""
+    return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
 
 
 def _rank_k_vectors(rng: np.random.Generator, count: int, m: int, n: int, k: int):
     """count unit vectors of Schmidt rank <= k as (A, B, unit u = A B^T
-    flattened), the sample axis last: views of (m, k, count) and (n, k,
-    count) on the draws, and an (m*n, count) array."""
-    a = _cgauss(rng, (count, m, k)).transpose(1, 2, 0)
-    b = _cgauss(rng, (count, n, k)).transpose(1, 2, 0)
-    u = _sample_matmul(a, b.transpose(1, 0, 2)).reshape(m * n, count)
+    flattened), the sample axis last: contiguous (m, k, count) and (n, k,
+    count) arrays, and an (m*n, count) array."""
+    a = np.ascontiguousarray(_cgauss(rng, (count, m, k)).transpose(1, 2, 0))
+    b = np.ascontiguousarray(_cgauss(rng, (count, n, k)).transpose(1, 2, 0))
+    u = _outer(a, b)
     return a, b, u / np.linalg.norm(u, axis=0)
 
 
@@ -99,62 +110,44 @@ def _sample_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u = A B^T for every sample, flattened to (m*n, samples)."""
+    return _sample_matmul(a, b.transpose(1, 0, 2)).reshape(-1, a.shape[2])
+
+
 def _ab_grad(gmat: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Chain a gradient wrt the conjugate m x n matrix through u = A B^T."""
     return (_sample_matmul(gmat, b.conj()),
             _sample_matmul(gmat.transpose(1, 0, 2), a.conj()))
 
 
-def _select(mask: np.ndarray, new: dict, old: dict) -> dict:
-    """Sample-wise new[name] where mask, else old[name]."""
-    return {name: np.where(mask, new[name], o) for name, o in old.items()}
+def _polish(evaluate, params: dict, top: np.ndarray, budget: int, better) -> np.ndarray:
+    """Batched adaptive-step ascent with rollback on the samples ``top`` of
+    ``params``, for at most ``budget`` steps; returns the final values.
+    ``evaluate(params)`` gives each candidate's value and parameter gradients
+    (sample axis last).  It stops early once no candidate moves (see the
+    module docstring)."""
+    params = {name: p.take(top, axis=-1) for name, p in params.items()}
+    values, grads = evaluate(params)
+    steps = np.full(values.shape, 0.1)
+    for _ in range(budget):
+        cand = {name: p + steps * grads[name] for name, p in params.items()}
+        if all((cand[name] == p).all() for name, p in params.items()):
+            break
+        cand_values, cand_grads = evaluate(cand)
+        mask = better(cand_values, values)
+        params = {name: np.where(mask, c, params[name]) for name, c in cand.items()}
+        grads = {name: np.where(mask, g, grads[name]) for name, g in cand_grads.items()}
+        values = np.where(mask, cand_values, values)
+        steps = np.where(mask, steps * 1.3, steps * 0.5)
+    return values
 
 
-class _PolishState:
-    """Batched adaptive-step ascent with rollback: candidates that fail to
-    improve are rolled back and their step halved.  Every array carries the
-    sample axis last, so the per-sample steps and masks broadcast on it.
-    ``record`` is the evaluation of the current parameters, selected sample
-    by sample with them."""
-
-    def __init__(self, params: dict, values: np.ndarray, record: dict,
-                 step: float = 0.1):
-        self.params = params
-        self.values = values
-        self.record = record
-        self.steps = np.full(values.shape, step)
-
-    def propose(self, grads: dict) -> dict:
-        return {name: p + self.steps * grads[name] for name, p in self.params.items()}
-
-    def accept(self, cand: dict, cand_values: np.ndarray, cand_record: dict,
-               better) -> None:
-        mask = better(cand_values, self.values)
-        self.params = _select(mask, cand, self.params)
-        self.record = _select(mask, cand_record, self.record)
-        self.values = np.where(mask, cand_values, self.values)
-        self.steps = np.where(mask, self.steps * 1.3, self.steps * 0.5)
-
-
-def _take_top(top: np.ndarray, **params) -> dict:
-    """The parameters of the samples ``top``, each a contiguous copy."""
-    return {name: p.take(top, axis=-1) for name, p in params.items()}
-
-
-def _pair_value(xm: np.ndarray, av, bv, aw, bw):
-    """(f, record) for f = |<v|X|w>| with v, w the normalized rank-k vectors;
-    the record holds the gemms X w and X^dagger v that the gradient needs."""
-    m, _k, count = av.shape
-    n = bv.shape[0]
-    uv = _sample_matmul(av, bv.transpose(1, 0, 2)).reshape(m * n, count)
-    uw = _sample_matmul(aw, bw.transpose(1, 0, 2)).reshape(m * n, count)
-    nv = np.linalg.norm(uv, axis=0)
-    nw = np.linalg.norm(uw, axis=0)
-    xw = xm @ uw
-    xv = xm.conj().T @ uv
-    g = (uv.conj() * xw).sum(0)
-    f = np.abs(g) / (nv * nw)
-    return f, dict(uv=uv, uw=uw, nv=nv, nw=nw, g=g, xw=xw, xv=xv)
+def _quad_form(xm: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """u = A B^T, X u, |u|^2 and g = <u|X|u> for every sample."""
+    u = _outer(a, b)
+    xu = xm @ u
+    return u, xu, np.einsum("is,is->s", u.conj(), u).real, (u.conj() * xu).sum(0)
 
 
 def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None):
@@ -167,35 +160,29 @@ def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None)
     _check_k(X, k)
     m, n = X.dims
     xm = X.mat
+    xh = xm.conj().T
     rng = cfg.rng.generator()
     av, bv, v = _rank_k_vectors(rng, cfg.samples, m, n, k)
     aw, bw, w = _rank_k_vectors(rng, cfg.samples, m, n, k)
     vals = np.abs(_pairings(v, xm, w))
 
-    params = _take_top(np.argsort(vals)[-_POOL:], av=av, bv=bv, aw=aw, bw=bw)
-    state = _PolishState(params, *_pair_value(xm, **params))
-    for _ in range(cfg.polish_steps):
-        p, r, f = state.params, state.record, state.values
-        g, nv, nw = r["g"], r["nv"], r["nw"]
+    def evaluate(p):
+        uv, uw = _outer(p["av"], p["bv"]), _outer(p["aw"], p["bw"])
+        nv, nw = np.linalg.norm(uv, axis=0), np.linalg.norm(uw, axis=0)
+        xw = xm @ uw
+        g = (uv.conj() * xw).sum(0)
+        f = np.abs(g) / (nv * nw)
         phase = np.where(np.abs(g) > 0, g / np.where(np.abs(g) > 0, np.abs(g), 1.0), 1.0)
         # ascent directions wrt conj(u_v), conj(u_w) of the normalized objective
-        gv = phase.conj() * r["xw"] / (nv * nw) - f / nv ** 2 * r["uv"]
-        gw = phase * r["xv"] / (nv * nw) - f / nw ** 2 * r["uw"]
+        gv = phase.conj() * xw / (nv * nw) - f / nv ** 2 * uv
+        gw = phase * (xh @ uv) / (nv * nw) - f / nw ** 2 * uw
         gav, gbv = _ab_grad(gv.reshape(m, n, -1), p["av"], p["bv"])
         gaw, gbw = _ab_grad(gw.reshape(m, n, -1), p["aw"], p["bw"])
-        cand = state.propose({"av": gav, "bv": gbv, "aw": gaw, "bw": gbw})
-        state.accept(cand, *_pair_value(xm, **cand), np.greater)
-    return float(max(vals.max(), state.values.max()))
+        return f, dict(av=gav, bv=gbv, aw=gaw, bw=gbw)
 
-
-def _quad_value(xm: np.ndarray, a, b) -> dict:
-    """Record of g = <u|X|u> for u = A B^T: u, |u|^2, g and the gemm X u."""
-    m, _k, count = a.shape
-    n = b.shape[0]
-    u = _sample_matmul(a, b.transpose(1, 0, 2)).reshape(m * n, count)
-    rec = dict(u=u, nsq=np.einsum("is,is->s", u.conj(), u).real, xu=xm @ u)
-    rec["g"] = (u.conj() * rec["xu"]).sum(0)
-    return rec
+    polished = _polish(evaluate, dict(av=av, bv=bv, aw=aw, bw=bw),
+                       np.argsort(vals)[-_POOL:], cfg.polish_steps, np.greater)
+    return float(max(vals.max(), polished.max()))
 
 
 def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None):
@@ -210,20 +197,16 @@ def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
     a, b, v = _rank_k_vectors(rng, cfg.samples, m, n, k)
     vals = _pairings(v, xm, v).real
 
-    def evaluate(params):
-        rec = _quad_value(xm, **params)
-        return rec["g"].real / rec["nsq"], rec
-
-    params = _take_top(np.argsort(vals)[:_POOL], a=a, b=b)
-    state = _PolishState(params, *evaluate(params))
-    for _ in range(cfg.polish_steps):
-        p, r, f = state.params, state.record, state.values
+    def evaluate(p):
+        u, xu, nsq, g = _quad_form(xm, p["a"], p["b"])
+        f = g.real / nsq
         # descent direction wrt conj(u) of the Rayleigh quotient
-        gu = -(r["xu"] - f * r["u"]) / r["nsq"]
-        ga, gb = _ab_grad(gu.reshape(m, n, -1), p["a"], p["b"])
-        cand = state.propose({"a": ga, "b": gb})
-        state.accept(cand, *evaluate(cand), np.less)
-    return float(min(vals.min(), state.values.min()))
+        ga, gb = _ab_grad((-(xu - f * u) / nsq).reshape(m, n, -1), p["a"], p["b"])
+        return f, dict(a=ga, b=gb)
+
+    polished = _polish(evaluate, dict(a=a, b=b), np.argsort(vals)[:_POOL],
+                       cfg.polish_steps, np.less)
+    return float(min(vals.min(), polished.min()))
 
 
 def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None):
@@ -238,24 +221,18 @@ def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
     a, b, v = _rank_k_vectors(rng, cfg.samples, m, n, k)
     vals = np.abs(_pairings(v, xm, v))
 
-    def evaluate(params):
-        rec = _quad_value(xm, **params)
-        rec["ux"] = xh @ rec["u"]  # X^dagger u, for the gradient
-        return np.abs(rec["g"]) / rec["nsq"], rec
-
-    params = _take_top(np.argsort(vals)[-_POOL:], a=a, b=b)
-    state = _PolishState(params, *evaluate(params))
-    for _ in range(cfg.polish_steps):
-        p, r, f = state.params, state.record, state.values
-        g, u, nsq = r["g"], r["u"], r["nsq"]
+    def evaluate(p):
+        u, xu, nsq, g = _quad_form(xm, p["a"], p["b"])
+        f = np.abs(g) / nsq
         safe = np.where(np.abs(g) > 0, np.abs(g), 1.0)
         # d|g|/d conj(u) = (conj(g) X u + g X^dagger u) / (2|g|)
-        gu = (g.conj() * r["xu"] + g * r["ux"]) / (2.0 * safe)
-        gu = (gu - f * u) / nsq
-        ga, gb = _ab_grad(gu.reshape(m, n, -1), p["a"], p["b"])
-        cand = state.propose({"a": ga, "b": gb})
-        state.accept(cand, *evaluate(cand), np.greater)
-    return float(max(vals.max(), state.values.max()))
+        gu = (g.conj() * xu + g * (xh @ u)) / (2.0 * safe)
+        ga, gb = _ab_grad(((gu - f * u) / nsq).reshape(m, n, -1), p["a"], p["b"])
+        return f, dict(a=ga, b=gb)
+
+    polished = _polish(evaluate, dict(a=a, b=b), np.argsort(vals)[-_POOL:],
+                       cfg.polish_steps, np.greater)
+    return float(max(vals.max(), polished.max()))
 
 
 def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
@@ -264,6 +241,29 @@ def _phase_fixed_qr(z: np.ndarray) -> np.ndarray:
     d = np.diagonal(r, axis1=1, axis2=2).copy()
     d = np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
     return q * d.conj()[:, None, :]
+
+
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """``_phase_fixed_qr`` of a stack of tall matrices by classical
+    Gram-Schmidt run twice per column; dividing each column by its positive
+    norm fixes the phase, diag(R) > 0."""
+    q = np.empty_like(z)
+    for j in range(z.shape[2]):
+        v = z[:, :, j, None]
+        if j:
+            qj = q[:, :, :j]
+            qh = qj.conj().transpose(0, 2, 1)
+            for _ in range(2):
+                v = v - qj @ (qh @ v)
+        q[:, :, j, None] = v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(1, keepdims=True))
+    return q
+
+
+def _top_singular_values(c: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack, as
+    sqrt(lambda_max(C^dagger C)); the clamp keeps a zero C at 0.0."""
+    top = np.linalg.eigvalsh(c.conj().transpose(0, 2, 1) @ c)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def _frame_compressions(xt: np.ndarray, frames: np.ndarray, m: int) -> np.ndarray:
@@ -289,8 +289,8 @@ def brute_omin(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None):
     xt = X.blocks().transpose(1, 0, 2, 3).reshape(n, m * m * n)
     rng = cfg.rng.generator()
     count = max(1, cfg.samples // 100)
-    frames = _phase_fixed_qr(_cgauss(rng, (count, n, k)))
-    vals = np.linalg.svd(_frame_compressions(xt, frames, m), compute_uv=False)[:, 0]
+    frames = _gram_schmidt(_cgauss(rng, (count, n, k)))
+    vals = _top_singular_values(_frame_compressions(xt, frames, m))
 
     pool_n = min(32, count)
     order = np.argsort(vals)[-pool_n:]
@@ -299,8 +299,8 @@ def brute_omin(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None):
     steps = np.full(pool_n, 0.2)
     for _ in range(cfg.polish_steps):
         tweak = _cgauss(rng, best_frames.shape)
-        cand = _phase_fixed_qr(best_frames + steps[:, None, None] * tweak)
-        cv = np.linalg.svd(_frame_compressions(xt, cand, m), compute_uv=False)[:, 0]
+        cand = _gram_schmidt(best_frames + steps[:, None, None] * tweak)
+        cv = _top_singular_values(_frame_compressions(xt, cand, m))
         mask = cv > best_vals
         best_frames = np.where(mask[:, None, None], cand, best_frames)
         best_vals = np.where(mask, cv, best_vals)

@@ -211,7 +211,13 @@ def test_seesaw_config_rejects_bad_budget():
                 dict(obj_tol=-1e-9)):
         with pytest.raises(ValueError):
             SeeSawConfig(**bad)
+    # non-integer budgets fail here, not later inside numpy
+    for field, bad in (("restarts", 2.0), ("restarts", True), ("max_iters", 10.0),
+                       ("max_iters", np.float64(3)), ("max_iters", False)):
+        with pytest.raises(ValueError, match=field):
+            SeeSawConfig(**{field: bad})
     SeeSawConfig(restarts=1, max_iters=0, obj_tol=0.0)  # smallest valid budget
+    SeeSawConfig(restarts=np.int64(2), max_iters=np.int32(5))
 
 
 def _scripted_rows(script):

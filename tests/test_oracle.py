@@ -9,9 +9,14 @@ from schmidt_norms.norms import SeeSawConfig, sk_norm
 from schmidt_norms.oracle import (
     _SAMPLE_BLOCK,
     OracleConfig,
+    _cgauss,
     _frame_compressions,
+    _gram_schmidt,
     _pairings,
+    _phase_fixed_qr,
+    _polish,
     _sample_matmul,
+    _top_singular_values,
     brute_block_min,
     brute_idk_norm,
     brute_min_order,
@@ -112,7 +117,13 @@ def test_oracle_config_validation():
     for bad in (dict(samples=0), dict(polish_steps=-5)):
         with pytest.raises(ValueError):
             OracleConfig(**bad)
+    # non-integer budgets fail here, not later inside numpy
+    for field, bad in (("samples", 1e3), ("samples", True), ("samples", np.float64(100)),
+                       ("polish_steps", 2.0), ("polish_steps", False)):
+        with pytest.raises(ValueError, match=field):
+            OracleConfig(**{field: bad})
     OracleConfig(polish_steps=0)
+    OracleConfig(samples=np.int64(100), polish_steps=np.int32(3))
 
 
 def _parity_operator(dims=(3, 4), seed=19):
@@ -212,3 +223,102 @@ def test_brutes_reject_out_of_range_k(brute, k):
 def test_brute_idk_rejects_k_below_1():
     with pytest.raises(ValueError):
         brute_idk_norm(identity_map(2), 0, _ocfg(25, samples=100, polish=1))
+
+
+def _orthonormality_error(q):
+    return np.max(np.abs(q.conj().transpose(0, 2, 1) @ q - np.eye(q.shape[2])))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gram_schmidt_is_the_phase_fixed_qr(k):
+    z = complex_gaussian(RandomConfig(seed=29).generator(), (40, 4, k))
+    q = _gram_schmidt(z)
+    assert _orthonormality_error(q) < 1e-12
+    assert np.max(np.abs(q - _phase_fixed_qr(z))) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_gram_schmidt_keeps_nearly_dependent_columns_orthonormal():
+    rng = RandomConfig(seed=30).generator()
+    z = complex_gaussian(rng, (8, 4, 2))
+    z[:, :, 1] = z[:, :, 0] + 1e-6 * complex_gaussian(rng, (8, 4))
+    assert np.all(np.linalg.cond(z) > 5e5)  # 0.9e6 to 4.5e6
+    # one Gram-Schmidt pass loses about cond * eps, 6e-10 here; the second
+    # brings the loss back to rounding
+    assert _orthonormality_error(_gram_schmidt(z)) < 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+def test_top_singular_values_match_svd():
+    rng = RandomConfig(seed=31).generator()
+    for d in (1, 3, 6, 8):
+        c = complex_gaussian(rng, (20, d, d))
+        want = np.linalg.svd(c, compute_uv=False)[:, 0]
+        assert np.allclose(_top_singular_values(c), want, rtol=1e-12, atol=0)
+    u, w = complex_gaussian(rng, (6,)), complex_gaussian(rng, (6,))
+    got = _top_singular_values(np.stack([np.zeros((6, 6)), np.outer(u, w.conj())]))
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(w), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cgauss_is_the_complex_draw_bit_for_bit():
+    a, b = RandomConfig(seed=32).generator(), RandomConfig(seed=32).generator()
+    z = b.standard_normal((5, 3, 2, 2))
+    want = z[..., 0] + 1j * z[..., 1]
+    assert _cgauss(a, (5, 3, 2)).tobytes() == want.tobytes()
+    assert a.standard_normal() == b.standard_normal()  # the same draws consumed
+
+
+def _freezing_case():
+    """Ascent on -|x - c|^2 - |y - e|^2 per sample.  y starts at its optimum
+    everywhere and x in sample 0, so those are frozen from the first step
+    while the rest still move."""
+    rng = RandomConfig(seed=33).generator()
+    c, e = complex_gaussian(rng, (2, 5)), complex_gaussian(rng, (3, 5))
+    x = complex_gaussian(rng, (2, 5))
+    x[:, 0] = c[:, 0]
+
+    def evaluate(p):
+        dx, dy = p["x"] - c, p["y"] - e
+        value = -(np.abs(dx) ** 2).sum(0) - (np.abs(dy) ** 2).sum(0)
+        return value, {"x": -dx, "y": -dy}
+    return evaluate, {"x": x, "y": e.copy()}
+
+
+def test_polish_stops_once_every_candidate_is_frozen():
+    evaluate, params = _freezing_case()
+    calls = []
+
+    def counted(p):
+        calls.append(1)
+        return evaluate(p)
+
+    budget = 2000
+    got = _polish(counted, params, np.arange(5), budget, np.greater)
+    assert 10 < len(calls) < budget + 1  # stopped early, but not at once
+
+    # the same loop with the stop taken out
+    values, grads = evaluate(params)
+    steps = np.full(values.shape, 0.1)
+    for _ in range(budget):
+        cand = {name: p + steps * grads[name] for name, p in params.items()}
+        cand_values, cand_grads = evaluate(cand)
+        mask = cand_values > values
+        params = {name: np.where(mask, cand[name], p) for name, p in params.items()}
+        grads = {name: np.where(mask, cand_grads[name], g) for name, g in grads.items()}
+        values = np.where(mask, cand_values, values)
+        steps = np.where(mask, steps * 1.3, steps * 0.5)
+    assert got.tobytes() == values.tobytes()
+
+
+# Values of the loop without the early stop; every one of these pools
+# freezes before step 400 (after 143, 306 and 320 steps).
+def test_polished_values_on_a_freezing_pool():
+    op = fixtures.example51(3)
+    herm = BipartiteOperator(op.dims, (op.mat + op.mat.conj().T) / 2)
+    cfg = OracleConfig(samples=1000, polish_steps=400, rng=RandomConfig(seed=5))
+    assert brute_sk_norm(op, 1, cfg) == 0.33333333333333365
+    assert brute_min_order(op, 1, cfg) == 0.33333333333333365
+    assert brute_block_min(herm, 1, cfg) == -0.2500000000000002
