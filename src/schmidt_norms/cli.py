@@ -118,12 +118,17 @@ def _dump_frame(frame: Frame | None) -> dict | None:
             "im": frame.vectors.imag.tolist()}
 
 
+def _dump_search(record) -> dict:
+    """The ``optim.SearchRecord`` fields of a report, its histories left out."""
+    return {"converged": bool(record.converged),
+            "restarts_used": int(record.restarts_used),
+            "iterations": int(record.iterations)}
+
+
 def _dump_estimate(est, **extra) -> dict:
     """Estimate fields plus ``extra``; only a NormEstimate has a witness."""
     out = {"value": est.value, "direction": est.direction,
-           "converged": bool(est.converged),
-           "restarts_used": int(est.restarts_used),
-           "iterations": int(est.iterations), **extra}
+           **_dump_search(est.search), **extra}
     witness = getattr(est, "witness", None)
     if witness is not None:
         out["witness"] = {
@@ -135,7 +140,7 @@ def _dump_estimate(est, **extra) -> dict:
 
 def _dump_verdict(verdict) -> dict:
     out = {"status": verdict.status, "min_value": verdict.min_value,
-           "k": int(verdict.k)}
+           "k": int(verdict.k), **_dump_search(verdict.search)}
     if verdict.witness_vector is not None:
         out["witness_vector"] = dump_state(verdict.witness_vector)
     return out
@@ -375,72 +380,48 @@ def _add_oracle_opts(p: argparse.ArgumentParser):
     p.add_argument("--polish-steps", dest="polish_steps", type=int, default=200)
 
 
+# keyword arguments of the arguments that subcommands share; any other
+# flag a subcommand names is a required string
+_ARGUMENTS = {"file": {}, "--k": {"type": int, "required": True}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="schmidt-norms",
                      description="Schmidt-rank-constrained norms, cones, and "
                                  "map certificates")
     sub = parser.add_subparsers(dest="group", required=True)
+    groups = {group: sub.add_parser(group, help=text).add_subparsers(
+                  dest="variant", required=True)
+              for group, text in (("norm", "bipartite operator norms"),
+                                  ("cone", "cone membership and witnesses"),
+                                  ("map", "map-level certificates and norms"),
+                                  ("oracle", "independent brute-force checks"))}
 
-    p_norm = sub.add_parser("norm", help="bipartite operator norms")
-    norm_sub = p_norm.add_subparsers(dest="variant", required=True)
+    def command(group, variant, func, *arguments, opts=_add_seesaw_opts):
+        p = groups[group].add_parser(variant)
+        for name in arguments:
+            p.add_argument(name, **_ARGUMENTS.get(name, {"required": True}))
+        if opts is not None:
+            opts(p)
+        p.set_defaults(func=func, command="%s %s" % (group, variant))
+        return p
+
     for variant in ("sk", "omin", "minorder", "maxspace"):
-        p = norm_sub.add_parser(variant)
-        p.add_argument("file")
-        p.add_argument("--k", type=int, required=True)
-        _add_seesaw_opts(p)
-        p.set_defaults(func=_handle_norm, command="norm %s" % variant)
-
-    p_cone = sub.add_parser("cone", help="cone membership and witnesses")
-    cone_sub = p_cone.add_subparsers(dest="variant", required=True)
-    p = cone_sub.add_parser("blockpos")
-    p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
-    _add_seesaw_opts(p)
-    p.set_defaults(func=_handle_cone_blockpos, command="cone blockpos")
-    p = cone_sub.add_parser("witness")
-    p.add_argument("--witness", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_seesaw_opts(p)
-    p.set_defaults(func=_handle_cone_witness, command="cone witness")
-    p = cone_sub.add_parser("verify-sn")
-    p.add_argument("--state", required=True)
-    p.add_argument("--ensemble", required=True)
-    p.set_defaults(func=_handle_cone_verify_sn, command="cone verify-sn")
-
-    p_map = sub.add_parser("map", help="map-level certificates and norms")
-    map_sub = p_map.add_subparsers(dest="variant", required=True)
+        command("norm", variant, _handle_norm, "file", "--k")
+    command("cone", "blockpos", _handle_cone_blockpos, "file", "--k")
+    command("cone", "witness", _handle_cone_witness, "--witness", "--state", "--k")
+    command("cone", "verify-sn", _handle_cone_verify_sn, "--state", "--ensemble",
+            opts=None)
     for variant in ("kpos", "kpeb", "idk-norm", "trnorm-h"):
-        p = map_sub.add_parser(variant)
-        p.add_argument("file")
-        p.add_argument("--k", type=int, required=True)
+        p = command("map", variant, _handle_map, "file", "--k")
         if variant == "kpeb":
             p.add_argument("--ensemble", default=None)
-        _add_seesaw_opts(p)
-        p.set_defaults(func=_handle_map, command="map %s" % variant)
-    p = map_sub.add_parser("detect")
-    p.add_argument("--state", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_seesaw_opts(p)
-    p.set_defaults(func=_handle_map, variant="detect", command="map detect")
-
-    p_oracle = sub.add_parser("oracle", help="independent brute-force checks")
-    oracle_sub = p_oracle.add_subparsers(dest="variant", required=True)
+    command("map", "detect", _handle_map, "--state", "--map", "--k")
     for variant in ("sk", "blockmin", "minorder", "omin", "idk"):
-        p = oracle_sub.add_parser(variant)
-        p.add_argument("file")
-        p.add_argument("--k", type=int, required=True)
-        _add_oracle_opts(p)
-        p.set_defaults(func=_handle_oracle, command="oracle %s" % variant)
-    p = oracle_sub.add_parser("recheck")
-    p.add_argument("--report", required=True)
-    p.add_argument("--file", default=None)
-    p.add_argument("--state", default=None)
-    p.add_argument("--witness", default=None)
-    p.add_argument("--map", default=None)
-    p.set_defaults(func=_handle_oracle_recheck, command="oracle recheck",
-                   variant="recheck")
+        command("oracle", variant, _handle_oracle, "file", "--k", opts=_add_oracle_opts)
+    p = command("oracle", "recheck", _handle_oracle_recheck, "--report", opts=None)
+    for flag in ("--file", "--state", "--witness", "--map"):
+        p.add_argument(flag, default=None)
 
     p_fx = sub.add_parser("fixtures", help="emit built-in fixture files")
     fx_sub = p_fx.add_subparsers(dest="action", required=True)

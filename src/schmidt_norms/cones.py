@@ -3,12 +3,13 @@ witness duality checks.
 
 ``k_block_positivity`` is the workhorse: it searches the minimum of <v|X|v>
 over unit vectors of Schmidt rank at most k as the supremum of -<v|X|v>,
-with the same frame ascent used by the norms module (the inner step is an
-exact bottom-eigenpair computation of the compressed operator, valued
--lambda_min).  A negative minimum below ``REFUTE_TOL`` refutes
-k-block positivity with an explicit witness vector; otherwise the verdict is
+with the same frame search as the norms module (the inner step is an exact
+bottom-eigenpair computation of the compressed operator, valued
+-lambda_min).  A negative minimum below ``REFUTE_TOL`` refutes k-block
+positivity with an explicit witness vector; otherwise the verdict is
 ``heuristically-positive``, which is deliberately one-sided: no completeness
-is claimed.
+is claimed.  Each verdict holds the ``optim.SearchRecord`` of its search, so
+a ``heuristically-positive`` verdict shows whether that search converged.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .linalg import (
     schmidt_rank,
 )
 # compress_tensor is unused here; perfbench's tracer test patches it here.
-from .optim import SeeSawConfig, compress_tensor, frame_search, iterations
+from .optim import (SearchRecord, SeeSawConfig, compress_tensor, frame_search,
+                    search_metadata)
 from .rand import random_sr_k_vector
 
 __all__ = [
@@ -52,7 +54,8 @@ class BlockPositivityVerdict:
 
     ``refuted`` carries a Schmidt-rank-<=k witness with
     <witness|X|witness> = min_value < -REFUTE_TOL.  ``heuristically-positive``
-    only reports that the search found no violation.
+    only reports that the search, whose ``optim.SearchRecord`` is ``search``,
+    found no violation.
     """
 
     status: str  # "refuted" | "heuristically-positive"
@@ -60,8 +63,7 @@ class BlockPositivityVerdict:
     witness_vector: PureState | None
     k: int
     frame: Frame | None = None
-    restarts_used: int = 0
-    iterations: int = 0
+    search: SearchRecord = SearchRecord()
 
     def __post_init__(self):
         if self.status not in ("refuted", "heuristically-positive"):
@@ -157,8 +159,7 @@ def k_block_positivity(X: BipartiteOperator, k: int,
     status = "refuted" if val < -REFUTE_TOL else "heuristically-positive"
     return BlockPositivityVerdict(status=status, min_value=val,
                                   witness_vector=wit, k=k, frame=frame,
-                                  restarts_used=len(outcomes),
-                                  iterations=iterations(outcomes))
+                                  search=search_metadata(best, outcomes))
 
 
 def _check_state(rho: BipartiteOperator) -> None:
@@ -200,6 +201,16 @@ def witness_check(W: BipartiteOperator, rho: BipartiteOperator, k: int,
                               block_pos_evidence=evidence)
 
 
+def _reduction_witness(dims: tuple[int, int], k: int) -> BipartiteOperator:
+    """I - (d/k)|phi><phi| on C^r (x) C^n, dims = (r, n), with |phi> =
+    sum_{i<d} |ii> / sqrt(d) maximally entangled and d = min(r, n)."""
+    r, n = dims
+    d = min(r, n)
+    phi = np.eye(r, n, dtype=complex).reshape(-1) / np.sqrt(d)
+    mat = np.eye(r * n, dtype=complex) - (d / k) * np.outer(phi, phi.conj())
+    return BipartiteOperator((r, n), mat)
+
+
 def reduction_witness(n: int, k: int) -> BipartiteOperator:
     """W = I - (n/k)|phi><phi| with |phi> maximally entangled on C^n (x) C^n.
 
@@ -209,9 +220,7 @@ def reduction_witness(n: int, k: int) -> BipartiteOperator:
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    phi = np.eye(n, dtype=complex).reshape(-1) / np.sqrt(n)
-    mat = np.eye(n * n, dtype=complex) - (n / k) * np.outer(phi, phi.conj())
-    return BipartiteOperator((n, n), mat)
+    return _reduction_witness((n, n), k)
 
 
 def random_schmidt_ensemble(dims: tuple[int, int], k: int, terms: int,

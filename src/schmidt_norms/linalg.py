@@ -70,8 +70,27 @@ def _as_complex(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class _Factors:
+    """The factor dimensions (m, n) = ``dims`` of a bipartite value."""
+
+    def _check_dims(self) -> tuple[int, int]:
+        m, n = self.dims
+        if m < 1 or n < 1:
+            raise ValueError("factor dimensions must be positive")
+        object.__setattr__(self, "dims", (int(m), int(n)))
+        return m, n
+
+    @property
+    def m(self) -> int:
+        return self.dims[0]
+
+    @property
+    def n(self) -> int:
+        return self.dims[1]
+
+
 @dataclass(frozen=True)
-class BipartiteOperator:
+class BipartiteOperator(_Factors):
     """An operator on C^m (x) C^n with its factor dimensions attached.
 
     Parameters
@@ -87,9 +106,7 @@ class BipartiteOperator:
     mat: np.ndarray
 
     def __post_init__(self):
-        m, n = self.dims
-        if m < 1 or n < 1:
-            raise ValueError("factor dimensions must be positive")
+        m, n = self._check_dims()
         mat = _as_complex(self.mat)
         if mat.ndim != 2 or mat.shape != (m * n, m * n):
             raise ValueError(
@@ -97,16 +114,7 @@ class BipartiteOperator:
             )
         if not np.isfinite(mat).all():
             raise ValueError("mat has a non-finite entry")
-        object.__setattr__(self, "dims", (int(m), int(n)))
         object.__setattr__(self, "mat", mat)
-
-    @property
-    def m(self) -> int:
-        return self.dims[0]
-
-    @property
-    def n(self) -> int:
-        return self.dims[1]
 
     def blocks(self) -> np.ndarray:
         """The operator as an (m, n, m, n) tensor, T[i,a,j,b] = X[(i,a),(j,b)]."""
@@ -115,16 +123,14 @@ class BipartiteOperator:
 
 
 @dataclass(frozen=True)
-class PureState:
+class PureState(_Factors):
     """A unit vector in C^m (x) C^n (flat index ``i*n + j``)."""
 
     dims: tuple[int, int]
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        m, n = self.dims
-        if m < 1 or n < 1:
-            raise ValueError("factor dimensions must be positive")
+        m, n = self._check_dims()
         amp = _as_complex(self.amplitudes).reshape(-1)
         if amp.shape != (m * n,):
             raise ValueError("amplitude length %d does not match dims (%d, %d)"
@@ -134,16 +140,7 @@ class PureState:
         nrm = np.linalg.norm(amp)
         if abs(nrm - 1.0) > UNIT_TOL:
             raise ValueError("state norm %.3e is not 1 within %g" % (nrm, UNIT_TOL))
-        object.__setattr__(self, "dims", (int(m), int(n)))
         object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def m(self) -> int:
-        return self.dims[0]
-
-    @property
-    def n(self) -> int:
-        return self.dims[1]
 
     def matrix_form(self) -> np.ndarray:
         """Amplitudes reshaped to the m x n coefficient matrix."""

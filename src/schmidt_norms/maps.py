@@ -4,33 +4,27 @@ Convention: J(Phi) = sum_ij |i><j| (x) Phi(|i><j|), input factor first, so the
 Choi matrix of a map M_r -> M_n is a BipartiteOperator with dims (r, n) and
 apply(Phi, X) = sum_ij X_ij Phi(|i><j|).
 
-The two map norms are multi-restart see-saws with exact inner steps:
-
-* ``idk_op_norm``: sup ||(id_k (x) Phi)(X)|| over the operator-norm unit
-  ball.  For fixed output vectors (v, w) the optimal X is the polar partial
-  isometry of the pairing matrix (value = its trace norm); for fixed X the
-  optimal (v, w) is the top singular pair.
-* ``hermitian_trace_norm``: sup ||(id_k (x) Phi)(|u><u|)||_tr over unit u;
-  rank-1 projections are extreme among Hermitian trace-ball elements, so this
-  is a projected-gradient ascent on the sphere, one eigh per trial point.
-
-Both run their restarts as the rows of one stacked ascent
-(``optim.ascend_rows``, ``optim.sphere_ascent``), one batched SVD or eigh
-per step, and report as ``norms.NormEstimate`` does.  On a completely
-positive map both are closed forms, flagged exact, with no search: ||Phi(I)||
-(Russo-Dye) and lambda_max(Tr_out J(Phi)).  The kernels ``idk_apply`` and
-``idk_pairing_matrix`` are gemms on transposed layouts of the Choi tensor,
-and take a leading stack axis.
+The two map norms, ``idk_op_norm`` (a see-saw between the polar factor of
+the pairing matrix and the top singular pair) and ``hermitian_trace_norm``
+(a projected-gradient ascent on the sphere of inputs u, since rank-1
+projections are extreme among Hermitian trace-ball elements), run their
+restarts as the rows of one stacked ascent (``optim.ascend_rows``,
+``optim.sphere_ascent``), one batched SVD or eigh per step.  Each returns a
+``MapNormEstimate``: a ``lower`` value with the ``optim.SearchRecord`` of its
+search, or on a completely positive map a proved closed form, ``exact``
+with the zero-work record: ||Phi(I)|| (Russo-Dye) and lambda_max(Tr_out
+J(Phi)).  The kernels ``idk_apply`` and ``idk_pairing_matrix`` are gemms on
+transposed layouts of the Choi tensor, and take a leading stack axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import BlockPositivityVerdict, SchmidtEnsemble, WitnessCertificate, \
-    _check_state, k_block_positivity, sn_upper_verify, witness_check
+    _check_state, _reduction_witness, k_block_positivity, sn_upper_verify, witness_check
 from .linalg import (
     EVAL_TOL,
     REFUTE_TOL,
@@ -43,8 +37,8 @@ from .linalg import (
     operator_norm,
     trace_norm,
 )
-from .optim import (SeeSawConfig, _row_dot, ascend_rows, restart_rngs,
-                    search_metadata, sphere_ascent)
+from .optim import (SearchRecord, SeeSawConfig, _row_dot, ascend_rows,
+                    check_direction, restart_rngs, search_metadata, sphere_ascent)
 from .rand import random_unit_vector
 
 __all__ = [
@@ -217,11 +211,7 @@ def k_peb_refute(phi: MapRepr, k: int,
     reduction-type witness on C^r (x) C^n.  A valid certificate refutes."""
     rho = _choi_state(phi)
     _check_k(rho, k)
-    r, n = rho.dims
-    d = min(r, n)
-    phi_vec = np.eye(r, n, dtype=complex).reshape(-1) / np.sqrt(d)
-    w = np.eye(r * n, dtype=complex) - (d / k) * np.outer(phi_vec, phi_vec.conj())
-    return witness_check(BipartiteOperator((r, n), w), rho, k, cfg)
+    return witness_check(_reduction_witness(rho.dims, k), rho, k, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +221,18 @@ def k_peb_refute(phi: MapRepr, k: int,
 
 @dataclass(frozen=True)
 class MapNormEstimate:
-    """Map-norm value with the attaining input; re-evaluating the norm at
-    ``attaining_input`` reproduces ``value`` within EVAL_TOL."""
+    """Map-norm value with its direction, one of ``optim.DIRECTIONS``, the
+    attaining input and the ``optim.SearchRecord`` of its search;
+    re-evaluating the norm at ``attaining_input`` reproduces ``value`` within
+    EVAL_TOL."""
 
     value: float
-    direction: str  # "lower" | "exact-flagged"
+    direction: str
     attaining_input: object
-    restarts_used: int = 0
-    iterations: int = 0
-    converged: bool = True
-    history: list = field(default_factory=list)
+    search: SearchRecord = SearchRecord()
 
     def __post_init__(self):
-        if self.direction not in ("lower", "exact-flagged"):
-            raise ValueError("direction must be lower/exact-flagged")
+        check_direction(self.direction)
 
 
 def _polar_trace_step(y: np.ndarray) -> np.ndarray:
@@ -259,7 +247,7 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
     Alternates two exact partial maximizations (see module docstring);
     restart 0 starts from X = I.  A completely positive map attains the
     supremum at X = I (Russo-Dye), so it gets the closed form ||Phi(I)||,
-    flagged exact, with no search.
+    ``exact``, with no search.
     """
     cfg = cfg or SeeSawConfig()
     if k < 1:
@@ -267,7 +255,7 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
     r, n = phi.in_dim, phi.out_dim
     if phi.is_cp():
         return MapNormEstimate(value=operator_norm(np.einsum("iaib->ab", phi.j4())),
-                               direction="exact-flagged",
+                               direction="exact",
                                attaining_input=np.eye(k * r, dtype=complex))
 
     def evaluate(x: np.ndarray):
@@ -285,7 +273,7 @@ def idk_op_norm(phi: MapRepr, k: int, cfg: SeeSawConfig | None = None) -> MapNor
     best, outcomes = ascend_rows(*evaluate(x), step, cfg)
     return MapNormEstimate(value=best.value, direction="lower",
                            attaining_input=best.payload[0],
-                           **search_metadata(best, outcomes))
+                           search=search_metadata(best, outcomes))
 
 
 def hermitian_trace_norm(phi: MapRepr, k: int,
@@ -297,8 +285,8 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
 
     A completely positive map has positive outputs, whose trace norm is the
     trace <u|I_k (x) M^T|u> with M = Tr_out J(Phi): the closed form
-    lambda_max(M) at u = e_1 (x) conj(top eigenvector of M), flagged exact,
-    with no search.  Otherwise each evaluation takes one eigh row of the
+    lambda_max(M) at u = e_1 (x) conj(top eigenvector of M), ``exact``, with
+    no search.  Otherwise each evaluation takes one eigh row of the
     output's Hermitian part, which gives the value (sum of |lambda|) and the
     sign matrix of the ascent direction.
     """
@@ -314,7 +302,7 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
         vals, vecs = np.linalg.eigh(np.einsum("iaja->ij", j4))
         u = np.zeros((k, r), dtype=complex)
         u[0] = vecs[:, -1].conj()
-        return MapNormEstimate(value=float(vals[-1]), direction="exact-flagged",
+        return MapNormEstimate(value=float(vals[-1]), direction="exact",
                                attaining_input=PureState((k, r), u.reshape(-1)))
     jt = j4.transpose(1, 3, 0, 2).reshape(n * n, r * r)  # (a b, i j)
 
@@ -338,7 +326,7 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
     best, outcomes = sphere_ascent(value_at, direction, u, 0.5, 1e-14, cfg)
     return MapNormEstimate(value=best.value, direction="lower",
                            attaining_input=PureState((k, r), best.payload[0]),
-                           **search_metadata(best, outcomes))
+                           search=search_metadata(best, outcomes))
 
 
 # ---------------------------------------------------------------------------

@@ -163,14 +163,14 @@ def load_ensemble(obj: dict) -> SchmidtEnsemble:
         raise FormatError("field 'terms': %s" % exc)
 
 
+def _parts(a: np.ndarray) -> dict:
+    """The "re" and "im" fields of a complex array, as nested lists."""
+    return {"re": a.real.tolist(), "im": a.imag.tolist()}
+
+
 def dump_matrix(mat: np.ndarray) -> dict:
     mat = np.asarray(mat)
-    return {
-        "rows": int(mat.shape[0]),
-        "cols": int(mat.shape[1]),
-        "re": mat.real.tolist(),
-        "im": mat.imag.tolist(),
-    }
+    return {"rows": int(mat.shape[0]), "cols": int(mat.shape[1]), **_parts(mat)}
 
 
 def dump_bipartite(op: BipartiteOperator) -> dict:
@@ -186,19 +186,12 @@ def dump_map(phi) -> dict:
 
 
 def dump_state(state: PureState) -> dict:
-    return {
-        "m": int(state.dims[0]),
-        "n": int(state.dims[1]),
-        "re": state.amplitudes.real.tolist(),
-        "im": state.amplitudes.imag.tolist(),
-    }
+    return {"m": int(state.m), "n": int(state.n), **_parts(state.amplitudes)}
 
 
 def dump_ensemble(ens: SchmidtEnsemble) -> dict:
     m, n = ens.dims
-    terms = [{"weight": float(w),
-              "re": s.amplitudes.real.tolist(),
-              "im": s.amplitudes.imag.tolist()} for w, s in ens.terms]
+    terms = [{"weight": float(w), **_parts(s.amplitudes)} for w, s in ens.terms]
     return {"m": int(m), "n": int(n), "k": int(ens.k), "terms": terms}
 
 

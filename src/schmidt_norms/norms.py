@@ -1,50 +1,23 @@
 """Schmidt-rank-constrained norms of bipartite operators.
 
-All estimators return a :class:`NormEstimate` carrying the value, the bound
-direction, attaining vectors (re-evaluating the objective at the witness
-reproduces the value), and convergence metadata.  The iterative routines are
-multi-restart local optimizers, so ``lower`` values are certified lower
-bounds while the searches themselves are heuristics.
-
-Norms implemented here:
-
-* ``sk_norm``        -- sup |<v|X|w>| over unit vectors of Schmidt rank <= k,
-                        by alternating Schmidt-truncation steps.
-* ``omin_norm``      -- sup over orthonormal frames of the operator norm of
-                        the compression (v and w share a right frame).
-* ``min_order_norm`` -- same with the numerical radius of the compression,
-                        i.e. sup |<v|X|v>| over Schmidt rank <= k; Hermitian
-                        X is solved exactly by one eigh per evaluation, other
-                        X screens each trial frame at the incumbent's angle
-                        before its angle search: in closed form on 2 x 2
-                        compressions, by one eigh that the search reuses on
-                        larger ones.
-* ``max_order_norm_upper`` -- proved Hermitian-split bound in closed form:
-                        the sum of the one-sided Schmidt-rank radii r_k(H).
-* ``block_positive_decomposition`` -- parts r_k(H) I +- H (plus 1e-8),
-                        k-block positive by proof, with no search.
-* ``dec_norm_value`` -- value of a supplied block-positive decomposition.
-                        A part whose closed-form lower bound is >= 0 (every
-                        canonical part) is proved k-block positive; other
-                        parts are searched.  A part sum c I has the order
-                        norm |c| in closed form, so the canonical value is
-                        proved.
-* ``maxk_space_norm_bounds`` -- two-sided bounds for the k-maximal norm in
-                        closed form with no search: k-row bands above, the
-                        identity and the transpose / min(k, n) below.
-
-``omin_norm`` and ``min_order_norm`` run on ``optim.frame_search`` (as does
-``cones.k_block_positivity``), which solves a vacuous rank constraint (k = n,
-or k = m for one vector) once on X; the value is the witness form |<u|X|w>|.
-``sk_norm`` runs its restarts as the rows of one stacked see-saw
-(``optim.ascend_rows``, one batched SVD per half-step); the frame ascents run
-theirs one at a time (see ``optim``).  :class:`NormEstimate` has the metadata.
+Every estimator returns a :class:`NormEstimate`: the value, its bound
+direction (``optim.DIRECTIONS``), attaining vectors where there are some
+(re-evaluating the objective at the witness reproduces the value), and the
+``optim.SearchRecord`` of its search.  The searches are multi-restart local
+ascents, so a searched value is a certified ``lower`` bound while the search
+itself is a heuristic: ``sk_norm`` by a truncation see-saw stacked over its
+restarts, ``omin_norm`` and ``min_order_norm`` over orthonormal right frames
+through ``optim.frame_search`` (as ``cones.k_block_positivity``).  The
+proved side needs no search: ``max_order_norm_upper`` and
+``block_positive_decomposition`` from the Schmidt-rank radii of
+`_schmidt_range`, ``dec_norm_value`` on the canonical parts, and
+``maxk_space_norm_bounds``.  Closed forms hold the zero-work record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,9 +35,11 @@ from .linalg import (
     operator_norm,
 )
 from .optim import (
+    SearchRecord,
     SeeSawConfig,
     _row_dot,
     ascend_rows,
+    check_direction,
     compress_tensor,
     frame_search,
     restart_rngs,
@@ -98,25 +73,17 @@ class Witness:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A computed norm value with its bound direction and search metadata.
-
-    Closed forms report the zero-work defaults.  Searches report through
-    ``optim.search_metadata``: ``restarts_used`` restarts ran, ``history``
-    holds one nondecreasing log per restart with one value per step,
-    ``iterations`` sums len(h) - 1 over them.
-    """
+    """A norm value with its bound direction, one of ``optim.DIRECTIONS``,
+    the attaining data, and the ``optim.SearchRecord`` of the search that
+    found it; a closed form holds the zero-work ``SearchRecord()``."""
 
     value: float
-    direction: str  # "lower" | "upper" | "exact"
+    direction: str
     witness: Witness | None
-    restarts_used: int = 0
-    iterations: int = 0
-    converged: bool = True
-    history: list = field(default_factory=list)
+    search: SearchRecord = SearchRecord()
 
     def __post_init__(self):
-        if self.direction not in ("lower", "upper", "exact"):
-            raise ValueError("direction must be lower/upper/exact")
+        check_direction(self.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +135,7 @@ def sk_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> No
                                  _sk_step(xm, m, n, k), cfg)
     wit = Witness(vectors=tuple(PureState((m, n), x) for x in best.payload))
     return NormEstimate(value=best.value, direction="lower", witness=wit,
-                        **search_metadata(best, outcomes))
+                        search=search_metadata(best, outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +223,7 @@ def _frame_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig, objective,
     u, w = vectors[0].amplitudes, vectors[-1].amplitudes
     return NormEstimate(value=float(np.abs(u.conj() @ X.mat @ w)),
                         direction="lower", witness=Witness(vectors, frame),
-                        **search_metadata(best, outcomes))
+                        search=search_metadata(best, outcomes))
 
 
 def omin_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> NormEstimate:

@@ -1,6 +1,7 @@
 """Shared optimizer plumbing: the ascent loops, :func:`run_restarts`, frame
-compressions, and :func:`frame_search`, the one frame search behind
-``omin_norm``, ``min_order_norm`` and ``k_block_positivity``.
+compressions, :func:`frame_search` (the one frame search behind
+``omin_norm``, ``min_order_norm`` and ``k_block_positivity``) and
+:class:`SearchRecord`, the search metadata of every estimate and verdict.
 
 Every search is a monotone ascent with an exact inner step that logs one
 value per step.  The ``sk_norm`` and ``idk_op_norm`` see-saws and the sphere
@@ -8,30 +9,23 @@ ascent of ``hermitian_trace_norm`` run their restarts as the rows of one
 stacked ascent (:func:`ascend_rows`, :func:`sphere_ascent`), one batched SVD
 or eigh per step for all active rows: on matrices of at most 6 x 6, numpy's
 per-call overhead costs more than the arithmetic.  The frame ascent runs its
-restarts one by one through :func:`ascend` and :func:`projected_step`, which
-serve it alone, since the benchmark's tracer counts one ``frame_ascent`` call
-per restart and reads each call's history.  Each line search first tries the long Barzilai-Borwein
-step length from the last two points, capped at 1 (Barzilai & Borwein, IMA
-J. Numer. Anal. 8, 1988; Wen & Yin, Math. Program. 142, 2013), and halves it
-on failure.  A frame ascent may also pass a screen: a lower bound on the
-objective, read off the incumbent's term, that rejects a trial step before
-its inner solve (``min_order_norm`` screens its angle search this way, and
-on compressions above 2 x 2 the angle search of a passing trial starts
-Newton from the screen's eigh).  A minimum, as in ``k_block_positivity``,
-is searched as the supremum of the negated objective.  The frame ascent
-retracts by :func:`_retract`, a Gram-Schmidt thin QR factor: several times
-cheaper than LAPACK QR on these small frames, and accurate because a step of length at most 1 from an
-orthonormal frame along a unit tangent has condition number at most
-sqrt(2).  Only a restart's Haar start frame goes through LAPACK QR.
+restarts one by one through :func:`ascend` and :func:`projected_step`, since
+the benchmark's tracer counts one ``frame_ascent`` call per restart and
+reads each call's history.  Each line search first tries the long
+Barzilai-Borwein step, capped at 1, and halves it on failure; a frame ascent
+may also pass a screen that rejects a trial before its inner solve (see
+:func:`projected_step`).  A minimum, as in ``k_block_positivity``, is
+searched as the supremum of the negated objective.  Frames retract by the
+Gram-Schmidt :func:`_retract`; only a restart's Haar start frame goes
+through LAPACK QR.
 
 Restart r draws its start from RNG stream ``cfg.rng.stream(r)``; the result
 is the restart of largest value, ties going to the smaller index, and
-:func:`search_metadata` gives an estimate's search fields (``restarts_used``
-= restarts that ran).
-
-:func:`frame_search` owns the one rule for a vacuous Schmidt-rank constraint:
-at k = n (or k = m when one vector is sought) the objective is solved once on
-X itself, with no restarts and no frame.
+:func:`search_metadata` records the search.  A closed form, and the vacuous
+Schmidt-rank constraint that :func:`frame_search` solves once on X itself
+(k = n, or k = m when one vector is sought), hold the zero-work
+``SearchRecord()``.  ``DIRECTIONS`` is the one vocabulary of an estimate's
+bound direction.
 """
 
 from __future__ import annotations
@@ -43,10 +37,10 @@ import numpy as np
 from .linalg import BipartiteOperator, Frame, PureState
 from .rand import RandomConfig, random_isometry
 
-__all__ = ["SeeSawConfig", "RestartOutcome", "restart_rngs", "run_restarts",
-           "iterations", "search_metadata", "ascend", "ascend_rows",
-           "projected_step", "sphere_ascent", "frame_ascent", "frame_search",
-           "compress_tensor", "lift_from_frame"]
+__all__ = ["SeeSawConfig", "RestartOutcome", "SearchRecord", "DIRECTIONS",
+           "check_direction", "restart_rngs", "run_restarts", "search_metadata",
+           "ascend", "ascend_rows", "projected_step", "sphere_ascent",
+           "frame_ascent", "frame_search", "compress_tensor", "lift_from_frame"]
 
 _MAX_HALVINGS = 5
 
@@ -81,6 +75,31 @@ class RestartOutcome:
     converged: bool
 
 
+@dataclass(frozen=True)
+class SearchRecord:
+    """What the search behind an estimate or verdict did: ``restarts_used``
+    restarts ran, ``history`` holds one nondecreasing objective log per
+    restart with one value per step, ``iterations`` sums len(h) - 1 over the
+    logs, and ``converged`` is the best restart's flag.  The default is the
+    zero-work record of a closed form or a vacuous rank constraint."""
+
+    restarts_used: int = 0
+    iterations: int = 0
+    converged: bool = True
+    history: tuple = ()
+
+
+DIRECTIONS = ("lower", "upper", "exact")
+
+
+def check_direction(direction: str) -> None:
+    """Raise ValueError unless ``direction`` is one of ``DIRECTIONS``: a
+    searched value is a ``lower`` bound, and ``upper`` and ``exact`` need a
+    proof."""
+    if direction not in DIRECTIONS:
+        raise ValueError("direction must be lower/upper/exact, got %r" % (direction,))
+
+
 def restart_rngs(cfg: SeeSawConfig) -> list:
     """One generator per restart, restart r's from ``cfg.rng.stream(r)``."""
     return [cfg.rng.stream(r).generator() for r in range(cfg.restarts)]
@@ -94,16 +113,13 @@ def run_restarts(worker, cfg: SeeSawConfig):
     return max(outcomes, key=lambda out: out.value), outcomes
 
 
-def iterations(outcomes) -> int:
-    """Logged steps summed over the restarts' histories, len(h) - 1 each."""
-    return int(sum(max(len(o.history) - 1, 0) for o in outcomes))
-
-
-def search_metadata(best: RestartOutcome, outcomes) -> dict:
-    """An estimate's search fields from (best, outcomes): one restart and
-    one objective log per outcome, and the best restart's ``converged``."""
-    return dict(restarts_used=len(outcomes), iterations=iterations(outcomes),
-                converged=best.converged, history=[o.history for o in outcomes])
+def search_metadata(best: RestartOutcome, outcomes) -> SearchRecord:
+    """The record of a search from (best, outcomes): one restart and one
+    objective log per outcome, and the best restart's ``converged``."""
+    return SearchRecord(
+        restarts_used=len(outcomes),
+        iterations=int(sum(max(len(o.history) - 1, 0) for o in outcomes)),
+        converged=best.converged, history=tuple(o.history for o in outcomes))
 
 
 def ascend(value: float, state, step, cfg: SeeSawConfig) -> RestartOutcome:

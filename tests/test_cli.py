@@ -297,6 +297,21 @@ def test_map_and_certificate_result_keys(workdir, capsys):
     assert _result_keys(capsys, [
         "map", "kpeb", str(workdir / "omega.json"), "--k", "1"]) \
         == (0, certificate | {"witness_operator"})
+    # a verdict reports its search as an estimate does
+    verdict = {"status", "min_value", "k", "witness_vector", "converged",
+               "restarts_used", "iterations"}
+    assert _result_keys(capsys, [
+        "cone", "blockpos", str(workdir / "swap3.json"), "--k", "2"]) == (2, verdict)
+    assert _result_keys(capsys, [
+        "map", "kpos", str(workdir / "tmap.json"), "--k", "1"]) == (0, verdict)
+    _, report, _ = _run(capsys, ["cone", "witness", "--witness", str(workdir / "w32.json"),
+                                 "--state", str(workdir / "iso9.json"), "--k", "2",
+                                 "--seed", "4", "--restarts", "2"])
+    assert set(report["result"]["block_pos_evidence"]) == verdict
+    # a proved closed form is "exact", in maps as in norms
+    _, report, _ = _run(capsys, ["map", "idk-norm", str(workdir / "omega.json"), "--k", "1",
+                                 "--seed", "4", "--restarts", "2"])
+    assert report["result"]["direction"] == "exact"
 
 
 @pytest.mark.parametrize("field, bad", [("seed", "abc"), ("seed", 1.5),

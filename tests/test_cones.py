@@ -16,7 +16,7 @@ from schmidt_norms.linalg import (
     min_eig_hermitian,
     schmidt_rank,
 )
-from schmidt_norms.optim import SeeSawConfig
+from schmidt_norms.optim import SearchRecord, SeeSawConfig
 from schmidt_norms.rand import RandomConfig, complex_gaussian, random_sr_k_vector
 
 
@@ -78,7 +78,7 @@ def test_full_k_agrees_with_min_eig():
         verdict = k_block_positivity(op, 2, _cfg(5, restarts=1))
         assert verdict.min_value == pytest.approx(min_eig_hermitian(op.mat),
                                                   abs=1e-6)
-        assert verdict.restarts_used == 0 and verdict.frame is None
+        assert verdict.search == SearchRecord() and verdict.frame is None
 
 
 def test_cone_nesting():

@@ -8,10 +8,12 @@ An import inside a function body counts as used only when that function
 
 The same holds for function parameters: every parameter that a package
 function takes is read by its body, so no caller passes an option that does
-nothing.
+nothing.  And every name a module lists in ``__all__`` is bound in it, so
+``from schmidt_norms.<module> import *`` never meets a stale entry.
 """
 
 import ast
+import importlib
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "schmidt_norms"
@@ -160,3 +162,13 @@ def test_no_unread_parameters():
     assert not unread, "unread parameters: %s" % ", ".join(unread)
     assert allowed == set(UNREAD_ALLOWED), \
         "stale exceptions: %s" % (set(UNREAD_ALLOWED) - allowed)
+
+
+def test_every_all_entry_is_bound():
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "schmidt_norms" + ("" if path.stem == "__init__" else "." + path.stem)
+        module = vars(importlib.import_module(name))
+        stale += ["%s: %s" % (name, entry) for entry in module.get("__all__", ())
+                  if entry not in module]
+    assert not stale, "__all__ names nothing bound: %s" % ", ".join(stale)

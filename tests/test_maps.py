@@ -21,7 +21,7 @@ from schmidt_norms.maps import (
     sn_contraction_test,
     transpose_map,
 )
-from schmidt_norms.optim import SeeSawConfig
+from schmidt_norms.optim import SearchRecord, SeeSawConfig
 from schmidt_norms.rand import RandomConfig, complex_gaussian, random_cptp, random_hermitian
 
 
@@ -114,6 +114,16 @@ def test_k_peb_identity_refute_and_certify():
     assert k_peb_certify(idm, full)
 
 
+def test_k_peb_refute_pairs_with_the_reduction_witness():
+    # one formula: on a square CP map the refutation's witness is
+    # reduction_witness(n, k), bit for bit
+    rng = RandomConfig(seed=13).generator()
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 3)):
+        for phi in (depolarizing_map(n), _random_kraus_map(n, n, rng)):
+            cert = k_peb_refute(phi, k, _cfg(12, restarts=1))
+            assert np.array_equal(cert.W.mat, reduction_witness(n, k).mat)
+
+
 def test_k_peb_requires_cp():
     with pytest.raises(ValueError):
         k_peb_refute(transpose_map(2), 1, _cfg(10, restarts=1))
@@ -122,7 +132,7 @@ def test_k_peb_requires_cp():
 def test_idk_identity_map():
     est = idk_op_norm(identity_map(3), 2, _cfg(11, restarts=4))
     assert est.value == pytest.approx(1.0, abs=1e-9)
-    assert est.direction == "exact-flagged"
+    assert est.direction == "exact"
 
 
 def test_idk_transpose_values():
@@ -232,13 +242,13 @@ def test_cp_map_norms_take_the_closed_forms(monkeypatch):
         for k in (1, 2):
             for norm in (idk_op_norm, hermitian_trace_norm):
                 est = norm(phi, k, cfg)
-                search = _searched(monkeypatch, norm, phi, k, cfg)
-                assert search.direction == "lower" and search.restarts_used == 20
-                assert est.value >= search.value - 1e-12
-                assert est.value - search.value <= 1e-9
-                assert est.direction == "exact-flagged"
-                assert (est.restarts_used, est.iterations, est.converged,
-                        est.history) == (0, 0, True, [])
+                searched = _searched(monkeypatch, norm, phi, k, cfg)
+                assert searched.direction == "lower"
+                assert searched.search.restarts_used == 20
+                assert est.value >= searched.value - 1e-12
+                assert est.value - searched.value <= 1e-9
+                assert est.direction == "exact"
+                assert est.search == SearchRecord()
             x = idk_op_norm(phi, k, cfg).attaining_input
             assert operator_norm(x) <= 1.0 + 1e-12
             assert operator_norm(idk_apply(phi, x, k)) == pytest.approx(
@@ -273,8 +283,8 @@ def test_htn_one_eigh_per_evaluation_and_no_search_on_cp(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd, 0))
     monkeypatch.setattr(maps, "idk_apply", counted("idk_apply", maps.idk_apply, 1))
     est = hermitian_trace_norm(phi, 2, _cfg(39, restarts=3, max_iters=60))
-    assert est.iterations > 3
-    assert counts["idk_apply"] > est.iterations
+    assert est.search.iterations > 3
+    assert counts["idk_apply"] > est.search.iterations
     assert counts["eigh"] == counts["idk_apply"] and counts["svd"] == 0
 
     def forbidden(*args, **kwargs):

@@ -25,6 +25,7 @@ from schmidt_norms.norms import (
     omin_norm,
     sk_norm,
 )
+from schmidt_norms.optim import SearchRecord
 from schmidt_norms.oracle import OracleConfig, brute_block_min, brute_min_order
 from schmidt_norms.rand import (
     RandomConfig,
@@ -61,7 +62,7 @@ def test_sk_full_k_is_operator_norm():
         op = _random_op((2, 3), rng)
         est = sk_norm(op, 2, _cfg(2, restarts=1))
         assert est.direction == "exact"
-        assert est.restarts_used == 0 and est.history == []
+        assert est.search == SearchRecord()
         assert est.value == pytest.approx(operator_norm(op.mat), abs=1e-10)
 
 
@@ -94,8 +95,8 @@ def test_sk_history_nondecreasing():
     rng = RandomConfig(seed=7).generator()
     op = _random_op((3, 3), rng)
     est = sk_norm(op, 2, _cfg(8))
-    assert len(est.history) == 8
-    for hist in est.history:
+    assert len(est.search.history) == 8
+    for hist in est.search.history:
         assert np.all(np.diff(np.asarray(hist)) >= 0)
 
 
@@ -104,8 +105,8 @@ def test_sk_history_logs_one_value_per_step():
     op = _random_op((3, 3), RandomConfig(seed=7).generator())
     for max_iters in (1, 3, 10):
         est = sk_norm(op, 1, _cfg(8, max_iters=max_iters))
-        assert all(len(h) <= max_iters + 1 for h in est.history)
-        assert est.iterations <= max_iters * est.restarts_used
+        assert all(len(h) <= max_iters + 1 for h in est.search.history)
+        assert est.search.iterations <= max_iters * est.search.restarts_used
 
 
 def test_sk_witness_attains_value():
@@ -165,7 +166,7 @@ def test_hierarchy_with_dec_and_upper():
     op = fixtures.example51(3)
     cfg = _cfg(15, restarts=5)
     dec = dec_norm_value(op, block_positive_decomposition(op, 3, cfg), 3, cfg)
-    assert dec.restarts_used == 0 and dec.history == []
+    assert dec.search == SearchRecord()
     assert min_order_norm(op, 3, cfg).value <= dec.value + 1e-6
     assert dec.value <= max_order_norm_upper(op, 3, cfg).value + 1e-6
 
@@ -205,8 +206,7 @@ def test_upper_is_closed_form_with_no_search(monkeypatch):
     for k in (1, 2):
         est = max_order_norm_upper(op, k, _cfg(15, restarts=5))
         assert est.direction == "upper" and est.witness is None
-        assert est.restarts_used == 0 and est.iterations == 0
-        assert est.converged and est.history == []
+        assert est.search == SearchRecord()
         closed = sum(_radius(h, (2, 3), k) for h in _hermitian_parts(op.mat))
         assert est.value == pytest.approx(closed, abs=1e-12)
 
@@ -309,11 +309,11 @@ def test_minorder_full_k_is_numerical_radius():
                        (c5[1], 2, _cfg(502, restarts=5, max_iters=100))):
         est = min_order_norm(op, k, cfg)
         assert est.value == pytest.approx(numerical_radius(op.mat), abs=1e-8)
-        assert est.restarts_used == 0 and est.witness.frame is None
+        assert est.search == SearchRecord() and est.witness.frame is None
     # omin at k = n: the frame spans C^n, so the value is the operator norm
     est = omin_norm(op33, 3, _cfg(19, restarts=1))
     assert est.value == pytest.approx(operator_norm(op33.mat), abs=1e-12)
-    assert est.restarts_used == 0 and est.witness.frame is None
+    assert est.search == SearchRecord() and est.witness.frame is None
 
 
 def _random_hermitian(dims, rng, shift=0.0):
@@ -347,7 +347,7 @@ def test_hermitian_minorder_full_k_is_spectral_radius():
             est = min_order_norm(op, min(dims), _cfg(42, restarts=1))
             radius = np.max(np.abs(np.linalg.eigvalsh(op.mat)))
             assert est.value == pytest.approx(radius, abs=1e-12)
-            assert est.restarts_used == 0 and est.witness.frame is None
+            assert est.search == SearchRecord() and est.witness.frame is None
 
 
 def test_hermitian_routes_skip_numerical_radius(monkeypatch):
@@ -473,7 +473,7 @@ def test_numerical_radius_runs_at_starts_and_accepted_steps(monkeypatch):
     for dims, k in (((2, 3), 1), ((3, 3), 2)):
         counts.update(radius=0, compress=0)
         est = min_order_norm(_random_op(dims, rng), k, _cfg(53, restarts=3))
-        assert counts["radius"] == est.restarts_used + est.iterations
+        assert counts["radius"] == est.search.restarts_used + est.search.iterations
         assert counts["compress"] > counts["radius"]
 
 
@@ -519,7 +519,7 @@ def test_lapack_qr_once_per_restart(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted)
     est = omin_norm(op, 2, cfg)
     monkeypatch.undo()
-    assert est.restarts_used == 3 and est.iterations > 3
+    assert est.search.restarts_used == 3 and est.search.iterations > 3
     assert shapes == [(3, 2)] * 3
 
 
@@ -532,12 +532,12 @@ def test_frame_searches_bit_identical_in_process():
     cfg = _cfg(50, restarts=3, max_iters=60)
 
     def norm_bits(est):
-        return (est.value, est.iterations, est.history,
+        return (est.value, est.search,
                 est.witness.frame.vectors.tobytes(),
                 [s.amplitudes.tobytes() for s in est.witness.vectors])
 
     def verdict_bits(ver):
-        return (ver.status, ver.min_value, ver.iterations,
+        return (ver.status, ver.min_value, ver.search,
                 ver.frame.vectors.tobytes(), ver.witness_vector.amplitudes.tobytes())
 
     for bits, search in ((norm_bits, lambda: omin_norm(op, 2, cfg)),
@@ -560,7 +560,7 @@ def test_stacked_searches_bit_identical_and_rows_independent():
         att = getattr(est, "attaining_input", None)
         arrays = ([s.amplitudes for s in est.witness.vectors] if att is None
                   else [getattr(att, "amplitudes", att)])
-        return (est.value, est.iterations, est.converged, est.history,
+        return (est.value, est.search,
                 [a.tobytes() for a in arrays])
 
     five, two = _cfg(52, restarts=5, max_iters=60), _cfg(52, restarts=2, max_iters=60)
@@ -568,7 +568,7 @@ def test_stacked_searches_bit_identical_and_rows_independent():
                    lambda cfg: maps.idk_op_norm(phi, 2, cfg),
                    lambda cfg: maps.hermitian_trace_norm(phi, 2, cfg)):
         assert bits(search(five)) == bits(search(five))
-        logs, alone = search(five).history[:2], search(two).history
+        logs, alone = search(five).search.history[:2], search(two).search.history
         assert [len(h) for h in logs] == [len(h) for h in alone]
         assert sum(len(h) - 1 for h in alone) > 10
         for h, ref in zip(logs, alone):
@@ -664,14 +664,13 @@ def test_dec_norm_closed_form_on_multiples_of_identity(monkeypatch):
         assert calls == []
         assert dec.value == pytest.approx(searched, abs=1e-13)
         assert dec.direction == "upper" and dec.witness is None
-        assert dec.restarts_used == 0 and dec.iterations == 0
-        assert dec.converged and dec.history == []
+        assert dec.search == SearchRecord()
     # a sum that is not a multiple of I is searched: a positive operator
     a = complex_gaussian(rng, (6, 6))
     pos = BipartiteOperator((2, 3), a @ a.conj().T)
     calls = _counted(monkeypatch, "min_order_norm")
     dec = dec_norm_value(pos, [(1.0, pos)], 1, cfg)
-    assert len(calls) == 1 and dec.restarts_used == 3
+    assert len(calls) == 1 and dec.search.restarts_used == 3
 
 
 def test_decomposition_and_dec_bit_identical_in_process():
@@ -713,8 +712,7 @@ def test_maxk_space_bounds_sandwich():
             closed = max(base, operator_norm(x_gamma) / min(k, dims[1]))
             assert lower.value == pytest.approx(closed, abs=1e-12)
             for est in (lower, upper):
-                assert est.restarts_used == 0 and est.iterations == 0
-                assert est.converged and est.history == []
+                assert est.search == SearchRecord()
 
 
 def test_maxk_space_swap_closed_form():
@@ -736,7 +734,7 @@ def test_maxk_space_full_k_exact():
     assert lower.direction == "exact" and upper.direction == "exact"
     assert lower.value == pytest.approx(operator_norm(op.mat), abs=1e-10)
     assert upper.value == pytest.approx(lower.value, abs=1e-12)
-    assert lower.restarts_used == 0 and lower.history == []
+    assert lower.search == SearchRecord()
 
 
 def test_k_validation():

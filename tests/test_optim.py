@@ -351,7 +351,7 @@ def test_bb_steps_cut_trial_frames_per_step(monkeypatch):
     op = BipartiteOperator((3, 3), random_hermitian(9, _rng(0)))
     cfg = SeeSawConfig(restarts=5, max_iters=100, rng=RandomConfig(seed=100))
     verdict = cones.k_block_positivity(op, 2, cfg)
-    assert calls[0] / (verdict.restarts_used + verdict.iterations) < 1.5
+    assert calls[0] / (verdict.search.restarts_used + verdict.search.iterations) < 1.5
 
 
 def test_ascend_stops_converged_on_small_gain():
@@ -435,9 +435,21 @@ def test_searched_estimates_report_one_log_per_restart():
     op = BipartiteOperator((3, 3), complex_gaussian(rng, (9, 9)))
     phi = maps.MapRepr.from_choi(BipartiteOperator((2, 3), random_hermitian(6, rng)))
     cfg = SeeSawConfig(restarts=3, max_iters=25, rng=RandomConfig(seed=41))
-    estimates = [norms.sk_norm(op, 2, cfg), norms.omin_norm(op, 1, cfg),
-                 norms.min_order_norm(op, 2, cfg), maps.idk_op_norm(phi, 2, cfg),
-                 maps.hermitian_trace_norm(phi, 2, cfg)]
-    for est in estimates:
-        assert est.restarts_used == len(est.history) == cfg.restarts
-        assert est.iterations == sum(len(h) - 1 for h in est.history)
+    herm = BipartiteOperator((3, 3), random_hermitian(9, rng))
+    results = [norms.sk_norm(op, 2, cfg), norms.omin_norm(op, 1, cfg),
+               norms.min_order_norm(op, 2, cfg), maps.idk_op_norm(phi, 2, cfg),
+               maps.hermitian_trace_norm(phi, 2, cfg),
+               cones.k_block_positivity(herm, 2, cfg)]
+    for result in results:
+        record = result.search
+        assert record.restarts_used == len(record.history) == cfg.restarts
+        assert record.iterations == sum(len(h) - 1 for h in record.history)
+
+
+def test_block_positivity_verdict_reports_whether_its_search_converged():
+    op = BipartiteOperator((3, 3), random_hermitian(9, _rng(0)))
+    for max_iters, converged in ((1, False), (200, True)):
+        cfg = SeeSawConfig(restarts=2, max_iters=max_iters, rng=RandomConfig(seed=100))
+        verdict = cones.k_block_positivity(op, 2, cfg)
+        assert verdict.search.converged is converged
+        assert verdict.search.restarts_used == 2
