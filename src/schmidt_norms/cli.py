@@ -22,6 +22,7 @@ from . import __version__
 from .cones import k_block_positivity, sn_upper_verify, witness_check
 from .linalg import Frame, trace_norm
 from .maps import (
+    _choi_state,
     detection_map,
     hermitian_trace_norm,
     idk_apply,
@@ -287,11 +288,10 @@ def _recheck_witness(report: dict, args):
 def _recheck_kpeb(report: dict, args):
     if args.map is None:
         raise _CliError("recheck of 'map kpeb' needs --map")
-    choi = load_map(read_json(args.map)).choi
+    rho = _choi_state(load_map(read_json(args.map)))
     w = load_bipartite(report["result"]["witness_operator"])
-    _check_witness_dims(w.dims, choi.dims)
-    rho = choi.mat / float(np.trace(choi.mat).real)
-    value = float(np.trace(w.mat @ rho).real)
+    _check_witness_dims(w.dims, rho.dims)
+    value = float(np.trace(w.mat @ rho.mat).real)
     return value, "pairing", {"map": _digest(args.map)}
 
 

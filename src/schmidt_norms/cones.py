@@ -32,8 +32,7 @@ from .linalg import (
     schmidt_rank,
 )
 # compress_tensor is unused here; perfbench's tracer test patches it here.
-from .optim import (SearchRecord, SeeSawConfig, compress_tensor, frame_search,
-                    search_metadata)
+from .optim import SearchRecord, SeeSawConfig, compress_tensor, frame_search
 from .rand import random_sr_k_vector
 
 __all__ = [
@@ -114,9 +113,9 @@ class SchmidtEnsemble:
 class WitnessCertificate:
     """Pairing of a (heuristically) k-block-positive W against a state.
 
-    Valid only when the block-positivity evidence stands and the pairing is
-    below -REFUTE_TOL; validity then certifies Schmidt number >= k+1, modulo
-    the heuristic evidence for W.
+    Valid only when the block-positivity evidence stands, its search
+    converged, and the pairing is below -REFUTE_TOL; validity then
+    certifies Schmidt number >= k+1, modulo the heuristic evidence for W.
     """
 
     W: BipartiteOperator
@@ -127,6 +126,7 @@ class WitnessCertificate:
     @property
     def valid(self) -> bool:
         return (self.block_pos_evidence.status == "heuristically-positive"
+                and self.block_pos_evidence.search.converged
                 and self.pairing < -REFUTE_TOL)
 
 
@@ -153,13 +153,12 @@ def k_block_positivity(X: BipartiteOperator, k: int,
     if not is_hermitian(X.mat):
         raise ValueError("k-block positivity needs a Hermitian operator")
     _check_k(X, k)
-    best, outcomes = frame_search(X, k, _neg_mineig_objective, cfg)
-    frame, (wit,) = best.payload
+    frame, (wit,), search = frame_search(X, k, _neg_mineig_objective, cfg)
     val = float(np.real(wit.amplitudes.conj() @ X.mat @ wit.amplitudes))
     status = "refuted" if val < -REFUTE_TOL else "heuristically-positive"
     return BlockPositivityVerdict(status=status, min_value=val,
                                   witness_vector=wit, k=k, frame=frame,
-                                  search=search_metadata(best, outcomes))
+                                  search=search)
 
 
 def _check_state(rho: BipartiteOperator) -> None:

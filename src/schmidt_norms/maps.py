@@ -116,8 +116,10 @@ class MapRepr:
 
     def is_cp(self) -> bool:
         """Choi matrix Hermitian with no eigenvalue below -EVAL_TOL."""
-        return (is_hermitian(self.choi.mat)
-                and min_eig_hermitian(self.choi.mat) >= -EVAL_TOL)
+        try:
+            return min_eig_hermitian(self.choi.mat) >= -EVAL_TOL
+        except ValueError:  # not Hermitian within HERM_TOL
+            return False
 
     def is_trace_preserving(self) -> bool:
         """Tr Phi(|i><j|) = delta_ij within UNIT_TOL, entry by entry."""

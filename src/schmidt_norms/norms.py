@@ -7,8 +7,9 @@ direction (``optim.DIRECTIONS``), attaining vectors where there are some
 ascents, so a searched value is a certified ``lower`` bound while the search
 itself is a heuristic: ``sk_norm`` by a truncation see-saw stacked over its
 restarts, ``omin_norm`` and ``min_order_norm`` over orthonormal right frames
-through ``optim.frame_search`` (as ``cones.k_block_positivity``).  The
-proved side needs no search: ``max_order_norm_upper`` and
+through ``optim.frame_search`` (as ``cones.k_block_positivity``), where
+`_numrad_screen` screens and warm-starts the angle searches of
+non-Hermitian ``min_order_norm``.  The proved side needs no search: ``max_order_norm_upper`` and
 ``block_positive_decomposition`` from the Schmidt-rank radii of
 `_schmidt_range`, ``dec_norm_value`` on the canonical parts, and
 ``maxk_space_norm_bounds``.  Closed forms hold the zero-work record.
@@ -162,42 +163,22 @@ def _numrad_objective(c: np.ndarray, warm=None):
     return val, (np.exp(1j * theta), vec, vec)
 
 
-def _numrad_screen(c: np.ndarray, term) -> float:
-    """The frame-ascent screen of `_numrad_objective`: lambda_max(Re(e^{i
-    theta} c)) at the incumbent's angle, term[0] = e^{i theta}, from one
-    eigvalsh.  Every fixed angle gives a lower bound on the numerical radius
-    of c, and at the objective's own term this is its value; by Danskin's
-    theorem the two share their first-order change there.  A 2 x 2 c takes
-    the closed form mean + sqrt(half-difference^2 + |off-diagonal|^2) of
-    the Hermitian part instead."""
+def _numrad_screen(c: np.ndarray, term):
+    """The frame-ascent screen of `_numrad_objective`: (bound, warm), bound
+    being lambda_max(Re(e^{i theta} c)) at the incumbent's angle, term[0] =
+    e^{i theta}.  Every fixed angle gives a lower bound on the numerical
+    radius of c, and at the objective's own term this is its value; by
+    Danskin's theorem the two share their first-order change there.  A 2 x 2
+    c takes the closed form mean + sqrt(half-difference^2 + |off-diagonal|^2)
+    of the Hermitian part and no warm start; a larger c one eigh, which is
+    the warm start (theta, eigenvalues, eigenvectors)."""
     pc = term[0] * c
     if pc.shape[0] == 2:
         (a, b), (e, d) = pc.tolist()
         return (a + d).real / 2.0 + math.hypot((a - d).real / 2.0,
-                                               abs(b + e.conjugate()) / 2.0)
-    return float(np.linalg.eigvalsh((pc + pc.conj().T) / 2.0)[-1])
-
-
-def _numrad_warm_pair():
-    """(objective, screen) for one non-Hermitian `min_order_norm` call on
-    compressions larger than 2 x 2: the screen is `_numrad_screen` from one
-    eigh instead of one eigvalsh, and the objective on the compression last
-    screened starts its Newton steps from that eigh (the ``warm`` start of
-    `_numerical_radius_attain`).  The two share a one-slot memo keyed on the
-    compression array's identity, which holds because `frame_ascent`
-    compresses each trial frame once for the screen and the objective."""
-    memo = [None, None]  # the compression last screened, and its warm start
-
-    def objective(c: np.ndarray):
-        return _numrad_objective(c, memo[1] if memo[0] is c else None)
-
-    def screen(c: np.ndarray, term) -> float:
-        pc = term[0] * c
-        vals, vecs = np.linalg.eigh((pc + pc.conj().T) / 2.0)
-        memo[:] = c, (float(np.angle(term[0])), vals, vecs)
-        return float(vals[-1])
-
-    return objective, screen
+                                               abs(b + e.conjugate()) / 2.0), None
+    vals, vecs = np.linalg.eigh((pc + pc.conj().T) / 2.0)
+    return float(vals[-1]), (float(np.angle(term[0])), vals, vecs)
 
 
 def _hermitian_objective(c: np.ndarray):
@@ -217,13 +198,12 @@ def _frame_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig, objective,
     """omin_norm / min_order_norm through :func:`frame_search`; the value is
     the witness form |<u|X|w>| on X itself, so re-evaluating the witness
     reproduces it."""
-    best, outcomes = frame_search(X, k, objective, cfg,
-                                  single_vector=single_vector, screen=screen)
-    frame, vectors = best.payload
+    frame, vectors, search = frame_search(X, k, objective, cfg,
+                                          single_vector=single_vector, screen=screen)
     u, w = vectors[0].amplitudes, vectors[-1].amplitudes
     return NormEstimate(value=float(np.abs(u.conj() @ X.mat @ w)),
                         direction="lower", witness=Witness(vectors, frame),
-                        search=search_metadata(best, outcomes))
+                        search=search)
 
 
 def omin_norm(X: BipartiteOperator, k: int, cfg: SeeSawConfig | None = None) -> NormEstimate:
@@ -247,17 +227,14 @@ def min_order_norm(X: BipartiteOperator, k: int,
     radius, so every trial it passes is an ascent.  A 2 x 2 compression
     (m k = 2) is screened and searched in closed form with no LAPACK call; a
     larger one is screened by one eigh, from which the angle search of a
-    passing trial starts Newton after its 32-angle grid
-    (`_numrad_warm_pair`).
+    passing trial starts Newton after its 32-angle grid (`_numrad_screen`).
     """
     cfg = cfg or SeeSawConfig()
     _check_k(X, k)
     if is_hermitian(X.mat):
         return _frame_norm(X, k, cfg, _hermitian_objective, single_vector=True)
-    objective, screen = _numrad_objective, _numrad_screen
-    if X.m * k > 2:
-        objective, screen = _numrad_warm_pair()
-    return _frame_norm(X, k, cfg, objective, single_vector=True, screen=screen)
+    return _frame_norm(X, k, cfg, _numrad_objective, single_vector=True,
+                       screen=_numrad_screen)
 
 
 # ---------------------------------------------------------------------------

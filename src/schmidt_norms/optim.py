@@ -12,12 +12,12 @@ per-call overhead costs more than the arithmetic.  The frame ascent runs its
 restarts one by one through :func:`ascend` and :func:`projected_step`, since
 the benchmark's tracer counts one ``frame_ascent`` call per restart and
 reads each call's history.  Each line search first tries the long
-Barzilai-Borwein step, capped at 1, and halves it on failure; a frame ascent
-may also pass a screen that rejects a trial before its inner solve (see
-:func:`projected_step`).  A minimum, as in ``k_block_positivity``, is
-searched as the supremum of the negated objective.  Frames retract by the
-Gram-Schmidt :func:`_retract`; only a restart's Haar start frame goes
-through LAPACK QR.
+Barzilai-Borwein step, capped at 1, and halves it on failure; the frame
+ascent compresses a trial frame once, for a screen that may reject it and
+its inner solve (see :func:`frame_ascent`).  A minimum, as in
+``k_block_positivity``, is searched as the supremum of the negated
+objective.  Frames retract by the Gram-Schmidt :func:`_retract`; only a
+restart's Haar start frame goes through LAPACK QR.
 
 Restart r draws its start from RNG stream ``cfg.rng.stream(r)``; the result
 is the restart of largest value, ties going to the smaller index, and
@@ -178,11 +178,10 @@ def ascend_rows(value, state: tuple, step, cfg: SeeSawConfig):
     return max(outcomes, key=lambda out: out.value), outcomes
 
 
-def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
-                   screen=None):
+def projected_step(trial, direction, retract, eta: float, grad_tol: float):
     """The line search of the frame ascent, as an :func:`ascend` step over
-    states (x, data) with ``evaluate(x) -> (value, data)``;
-    :func:`sphere_ascent` runs the same search on stacked rows.
+    states (x, data); :func:`sphere_ascent` runs the same search on stacked
+    rows.
 
     The tangent ``direction(x, data)`` ends the search when shorter than
     ``grad_tol``; normalized, it is tried with at most ``_MAX_HALVINGS + 1``
@@ -196,10 +195,9 @@ def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
     so every trial has t <= 1.  Build one step per search: it keeps the
     previous point and tangent.
 
-    ``screen(x, data)``, when given, is a cheap lower bound on the value at
-    the trial point x, built from the incumbent's ``data``.  A trial it puts
-    at or below the current value is rejected without calling ``evaluate``;
-    any other trial is evaluated and accepted as before.
+    ``trial(x, data, value)``, given the incumbent's data and value, returns
+    (value, data) at the trial point x, or None to reject x unevaluated; a
+    value above the current one is accepted.
     """
     prev = None  # (x, g) at the start of the last step
 
@@ -220,10 +218,9 @@ def projected_step(evaluate, direction, retract, eta: float, grad_tol: float,
         g = g / gnorm
         for _ in range(_MAX_HALVINGS + 1):
             x_new = retract(x + t * g)
-            if screen is None or screen(x_new, data) > value:
-                val_new, data_new = evaluate(x_new)
-                if val_new > value:
-                    return val_new, (x_new, data_new)
+            moved = trial(x_new, data, value)
+            if moved is not None and moved[0] > value:
+                return moved[0], (x_new, moved[1])
             t /= 2.0
         return None
 
@@ -367,26 +364,24 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
     and return the differential term for :func:`_frame_gradient`.  The start
     frame is a Haar draw (:func:`random_isometry`, LAPACK QR); every trial
     step V + tG is mapped back by the Gram-Schmidt :func:`_retract`, exact
-    to rounding since cond(V + tG) <= sqrt(2).  ``screen(C, term)``, when
-    given, is the :func:`projected_step` screen on the trial compression C
-    with the incumbent term; it must be a lower bound on the objective at C.
-    Each trial frame is compressed once, for the screen and the objective
-    both.  Returns a RestartOutcome whose payload is (V, value-attaining
+    to rounding since cond(V + tG) <= sqrt(2).  Each trial frame is
+    compressed once, to C.  ``screen(C, term) -> (bound, warm)``, when
+    given, bounds the objective at C from below using the incumbent term; a
+    trial it puts at or below the current value is rejected unsolved, any
+    other solved by ``objective(C, warm)``, or ``objective(C)`` when warm is
+    None.  Returns a RestartOutcome whose payload is (V, value-attaining
     term).
     """
     layouts = _gradient_layouts(t4)
-    last = [None, None]  # the last frame compressed, and its compression
 
-    def compressed(v):
-        if last[0] is not v:
-            last[:] = v, compress_tensor(t4, v)
-        return last[1]
-
-    def evaluate(v):
-        return objective(compressed(v))
-
-    def screened(v, term):
-        return screen(compressed(v), term)
+    def trial(v, term, value):
+        c = compress_tensor(t4, v)
+        if screen is None:
+            return objective(c)
+        bound, warm = screen(c, term)
+        if bound > value:
+            return objective(c) if warm is None else objective(c, warm)
+        return None
 
     def direction(v, term):
         g = _frame_gradient(layouts, v, term)
@@ -395,9 +390,8 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
         return g - v @ ((a + a.conj().T) / 2.0)
 
     v = random_isometry(t4.shape[1], k, rng)
-    val, term = evaluate(v)
-    step = projected_step(evaluate, direction, _retract, 0.25, 1e-15,
-                          None if screen is None else screened)
+    val, term = objective(compress_tensor(t4, v))
+    step = projected_step(trial, direction, _retract, 0.25, 1e-15)
     return ascend(val, (v, term), step, cfg)
 
 
@@ -407,17 +401,16 @@ def frame_search(X: BipartiteOperator, k: int, objective, cfg: SeeSawConfig,
     ``screen``) over the compressions of X by k-dimensional right frames,
     restarted through :func:`run_restarts`.
 
-    Returns (best, outcomes) as :func:`run_restarts` does, with the payload
-    of ``best`` replaced by (frame, vectors): the best restart's Frame and the
-    attaining vectors of its term, u (and w unless ``single_vector``),
-    as PureStates of C^m (x) C^n.  The rank constraint is vacuous when k = n,
-    or when k = m and one vector is sought; then the objective is solved once
-    on X.mat, with no restarts (``outcomes`` is empty) and no frame (None).
+    Returns (frame, vectors, record): the best restart's Frame, the
+    attaining vectors of its term, u (and w unless ``single_vector``), as
+    PureStates of C^m (x) C^n, and the search's SearchRecord.  The rank
+    constraint is vacuous when k = n, or when k = m and one vector is
+    sought; then the objective is solved once on X.mat, with no frame (None)
+    and the zero-work record.
     """
     m, n = X.dims
     if k == n or (single_vector and k == m):
-        value, term = objective(X.mat)
-        best, outcomes, v = RestartOutcome(value, None, [value], True), [], None
+        (_, term), v, record = objective(X.mat), None, SearchRecord()
     else:
         t4 = X.blocks()
 
@@ -425,10 +418,9 @@ def frame_search(X: BipartiteOperator, k: int, objective, cfg: SeeSawConfig,
             return frame_ascent(t4, k, rng, objective, cfg, screen)
 
         best, outcomes = run_restarts(worker, cfg)
-        v, term = best.payload
+        (v, term), record = best.payload, search_metadata(best, outcomes)
     _, u, w = term
     vectors = tuple(PureState((m, n), x if v is None else lift_from_frame(x, v, m))
                     for x in ((u,) if single_vector else (u, w)))
     frame = None if v is None else Frame(vectors=v.T.copy())
-    return RestartOutcome(best.value, (frame, vectors), best.history,
-                          best.converged), outcomes
+    return frame, vectors, record

@@ -444,6 +444,31 @@ def test_recheck_kpeb_rejects_other_dims(workdir, capsys):
     assert "witness dims (1, 9) do not match state dims (3, 3)" in err
 
 
+def test_recheck_kpeb_rejects_zero_trace_map(workdir, capsys):
+    # the zero map's Choi matrix has trace 0: an input error, as in `map
+    # kpeb` itself, not a report with a NaN value
+    import warnings
+    from schmidt_norms.maps import MapRepr, depolarizing_map
+    write_json(str(workdir / "omega.json"), dump_map(depolarizing_map(3)))
+    code, report, _ = _run(capsys, [
+        "map", "kpeb", str(workdir / "omega.json"), "--k", "1", "--seed", "4",
+        "--restarts", "2"])
+    assert code == 0
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    zero = MapRepr.from_choi(BipartiteOperator((3, 3), np.zeros((9, 9))))
+    write_json(str(workdir / "zero.json"), dump_map(zero))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["oracle", "recheck", "--report", str(rp),
+                     "--map", str(workdir / "zero.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "nonpositive trace" in captured.err
+
+
 def test_verify_sn_ensemble_k0_exit_1(workdir, capsys):
     ens = dump_ensemble(fixtures.basis_product_ensemble(3, 3))
     ens["k"] = 0

@@ -187,6 +187,23 @@ def test_witness_check_scale_invariant_validity():
         assert cert.pairing == pytest.approx(scale * base.pairing, abs=1e-9)
 
 
+def test_witness_validity_needs_converged_evidence():
+    # a mixture witness W = 0.8 reduction_witness(3, 2) + 0.2 P (P > 0)
+    # pairs to -0.0553 with isotropic(0.95, 3); its block-positivity search
+    # stops unconverged after one step per restart, and then the
+    # certificate is not valid
+    g = complex_gaussian(RandomConfig(seed=5).generator(), (9, 9))
+    w = BipartiteOperator((3, 3), 0.8 * reduction_witness(3, 2).mat
+                          + 0.2 * g @ g.conj().T / 9)
+    rho = fixtures.isotropic(0.95, 3)
+    for max_iters, valid in ((1, False), (200, True)):
+        cert = witness_check(w, rho, 2, _cfg(3, restarts=3, max_iters=max_iters))
+        assert cert.pairing == pytest.approx(-0.0553, abs=1e-4)
+        assert cert.block_pos_evidence.status == "heuristically-positive"
+        assert cert.block_pos_evidence.search.converged is valid
+        assert cert.valid is valid
+
+
 def test_duality_pairing_sample():
     # witnesses from the reduction family against same-k ensembles
     rng = RandomConfig(seed=17).generator()

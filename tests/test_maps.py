@@ -73,6 +73,33 @@ def test_map_predicates():
     assert t.is_trace_preserving()
 
 
+def test_is_cp_checks_hermiticity_once(monkeypatch):
+    # counted: on a CPTP map, idk_op_norm runs one Hermiticity check (in
+    # is_cp) and hermitian_trace_norm two (its own and is_cp's)
+    from schmidt_norms import linalg
+    calls = []
+
+    def counted(fn):
+        def wrapper(x):
+            calls.append(1)
+            return fn(x)
+        return wrapper
+
+    rng = RandomConfig(seed=60).generator()
+    phi = MapRepr.from_choi(random_cptp(3, 3, rng))
+    assert phi.is_trace_preserving()
+    monkeypatch.setattr(linalg, "is_hermitian", counted(linalg.is_hermitian))
+    monkeypatch.setattr(maps, "is_hermitian", counted(maps.is_hermitian))
+    for norm, checks in ((idk_op_norm, 1), (hermitian_trace_norm, 2)):
+        calls.clear()
+        assert norm(phi, 2, _cfg(61)).direction == "exact"
+        assert len(calls) <= checks
+    # a Choi matrix that is not Hermitian is not CP, after one check
+    calls.clear()
+    skew = MapRepr.from_choi(BipartiteOperator((2, 2), complex_gaussian(rng, (4, 4))))
+    assert not skew.is_cp() and len(calls) == 1
+
+
 def test_k_positivity_transpose():
     t = transpose_map(3)
     v1 = k_positivity(t, 1, _cfg(3))

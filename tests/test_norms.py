@@ -417,16 +417,16 @@ def test_numrad_screen_is_a_lower_bound_exact_at_its_term():
     assert np.linalg.matrix_rank(cs[-1]) == 1
     for c in cs:
         val, term = _numrad_objective(c)
-        assert _numrad_screen(c, term) == pytest.approx(val, abs=1e-12)
+        assert _numrad_screen(c, term)[0] == pytest.approx(val, abs=1e-12)
         for coef in np.exp(2j * np.pi * rng.random(20)):
-            assert _numrad_screen(c, (coef, None, None)) <= val + 1e-12
+            assert _numrad_screen(c, (coef, None, None))[0] <= val + 1e-12
 
 
 def test_numrad_warm_pair_shares_the_screen_eigh(monkeypatch):
-    # the pair's screen is `_numrad_screen` from one eigh; the pair's
-    # objective gives `_numrad_objective`'s value, and on the array last
-    # screened it reuses that eigh when the screen's angle lies in the grid
-    # winner's bracket (the incumbent's and a nearby one, not the opposite)
+    # the screen's warm start is its one eigh: `_numrad_objective(c, warm)`
+    # gives `_numrad_objective(c)`'s value, and takes fewer eigh calls when
+    # the screen's angle lies in the grid winner's bracket (the incumbent's
+    # and a nearby one), the same number at the opposite angle
     calls = []
     eigh = np.linalg.eigh
 
@@ -438,19 +438,18 @@ def test_numrad_warm_pair_shares_the_screen_eigh(monkeypatch):
     for d in range(3, 9):
         c = complex_gaussian(rng, (d, d))
         val, term = _numrad_objective(c)
-        objective, screen = norms._numrad_warm_pair()
         for coef, inside in ((term[0], True), (term[0] * np.exp(0.05j), True),
                              (-term[0], False)):
-            assert screen(c, (coef, None, None)) == pytest.approx(
-                _numrad_screen(c, (coef, None, None)), abs=1e-12)
+            bound, warm = _numrad_screen(c, (coef, None, None))
+            assert warm[1][-1] == bound
             monkeypatch.setattr(np.linalg, "eigh", counted)
             counts = []
-            for x in (c, c.copy()):  # the copy misses the memo
+            for args in ((c, warm), (c,)):
                 calls.clear()
-                assert objective(x)[0] == pytest.approx(val, abs=1e-12)
+                assert _numrad_objective(*args)[0] == pytest.approx(val, abs=1e-12)
                 counts.append(len(calls))
             monkeypatch.undo()
-            assert (counts[0] < counts[1]) == inside
+            assert counts[0] < counts[1] if inside else counts[0] == counts[1]
 
 
 def test_numerical_radius_runs_at_starts_and_accepted_steps(monkeypatch):
@@ -488,7 +487,8 @@ def test_screened_minorder_matches_unscreened_search():
     cases = ([(_random_op((2, 3), c5), 1) for _ in range(40)][::2]
              + [(_random_op((3, 3), gen), 2) for _ in range(5)])
     for op, k in cases:
-        old = optim.frame_search(op, k, _numrad_objective, cfg)[0].value
+        _, (wit,), _ = optim.frame_search(op, k, _numrad_objective, cfg)
+        old = abs(wit.amplitudes.conj() @ op.mat @ wit.amplitudes)
         assert min_order_norm(op, k, cfg).value == pytest.approx(old, abs=1e-6)
 
 

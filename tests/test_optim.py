@@ -252,34 +252,69 @@ def test_ascend_stops_converged_when_no_move():
     assert [int(o.payload[1]) for o in outs] == [2, 0, 1]
     assert best is outs[0] and best.value == 5.0
     # a direction shorter than grad_tol is "no move" too
-    step = projected_step(lambda x: (float(x @ x), None),
+    step = projected_step(lambda x, data, value: (float(x @ x), None),
                           lambda x, data: np.zeros_like(x), lambda x: x,
                           0.5, 1e-14)
     assert step(1.0, (np.ones(2), None)) is None
 
 
 def test_projected_step_screen_rejects_without_evaluating():
-    # a trial the screen puts at or below the value is halved away with no
-    # evaluation; the first one it passes is evaluated and accepted
+    # a trial that returns None, as a frame ascent's trial does when its
+    # screen puts the trial frame at or below the value, is halved away
+    # with no evaluation; the first trial that returns a higher value is
+    # accepted
     evaluated, screened = [], []
 
-    def evaluate(x):
+    def trial(x, data, value):
+        screened.append(x[0])
+        if float(x[0] - x[0] ** 2) - 0.05 <= value:  # a lower bound on the value
+            return None
         evaluated.append(x[0])
         return float(x[0] - x[0] ** 2), None
 
-    def screen(x, data):  # a lower bound on the value
-        screened.append(x[0])
-        return float(x[0] - x[0] ** 2) - 0.05
-
-    step = projected_step(evaluate, lambda x, data: np.ones(1), lambda x: x,
-                          2.0, 1e-14, screen)
+    step = projected_step(trial, lambda x, data: np.ones(1), lambda x: x,
+                          2.0, 1e-14)
     new, (x, _) = step(0.0, (np.zeros(1), None))
     assert screened == [2.0, 1.0, 0.5] and evaluated == [0.5]
     assert new == 0.25 and x[0] == 0.5
-    # the screen passes a trial that evaluate still refuses: no step
-    step = projected_step(lambda x: (-1.0, None), lambda x, data: np.ones(1),
-                          lambda x: x, 1.0, 1e-14, lambda x, data: 1.0)
+    # a trial that always returns None: 6 halvings from eta, no step
+    screened.clear()
+    step = projected_step(lambda x, data, value: screened.append(x[0]),
+                          lambda x, data: np.ones(1), lambda x: x, 2.0, 1e-14)
     assert step(0.0, (np.zeros(1), None)) is None
+    assert screened == [2.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
+    # a trial that passes the screen but whose value does not rise: no step
+    step = projected_step(lambda x, data, value: (-1.0, None),
+                          lambda x, data: np.ones(1), lambda x: x, 1.0, 1e-14)
+    assert step(0.0, (np.zeros(1), None)) is None
+
+
+def test_frame_ascent_compresses_each_trial_frame_once(monkeypatch):
+    # a screen that puts every trial at or below the value: one restart
+    # solves the objective once (its start), screens the 6 trials of its one
+    # line search, compresses 7 frames (start and trials) and logs no step
+    counts = {"objective": 0, "screen": 0, "compress": 0}
+    compress = optim.compress_tensor
+
+    def counted_compress(t4, v):
+        counts["compress"] += 1
+        return compress(t4, v)
+
+    def objective(c):
+        counts["objective"] += 1
+        vals, vecs = np.linalg.eigh(c)
+        return float(vals[-1]), (1.0 + 0.0j, vecs[:, -1], vecs[:, -1])
+
+    def screen(c, term):
+        counts["screen"] += 1
+        return -np.inf, None
+
+    monkeypatch.setattr(optim, "compress_tensor", counted_compress)
+    t4 = random_hermitian(9, _rng(3)).reshape(3, 3, 3, 3)
+    out = frame_ascent(t4, 2, _rng(4), objective, SeeSawConfig(max_iters=10),
+                       screen)
+    assert counts == {"objective": 1, "screen": 6, "compress": 7}
+    assert len(out.history) == 1 and out.converged
 
 
 def _quadratic_search(a, b, eta):
@@ -287,7 +322,7 @@ def _quadratic_search(a, b, eta):
     and the (step start, trial point) pairs it evaluates."""
     trials, start = [], [None]
 
-    def evaluate(x):
+    def trial(x, data, value):
         trials.append((start[0], x))
         return float(b @ x - x @ a @ x / 2.0), None
 
@@ -295,7 +330,7 @@ def _quadratic_search(a, b, eta):
         start[0] = x
         return b - a @ x
 
-    return projected_step(evaluate, direction, lambda x: x, eta, 1e-14), trials
+    return projected_step(trial, direction, lambda x: x, eta, 1e-14), trials
 
 
 def test_projected_step_first_trial_is_the_bb_length():
@@ -419,7 +454,7 @@ def test_sphere_ascent_rows_follow_the_serial_line_search():
     cfg = SeeSawConfig(max_iters=60, obj_tol=1e-12)
     best, outs = sphere_ascent(evaluate, direction, starts, 0.5, 1e-14, cfg)
     for x, out in zip(starts, outs):
-        step = projected_step(evaluate_one, direction_one,
+        step = projected_step(lambda u, data, value: evaluate_one(u), direction_one,
                               lambda u: u / np.linalg.norm(u), 0.5, 1e-14)
         val, data = evaluate_one(x)
         ref = ascend(val, (x, data), step, cfg)
