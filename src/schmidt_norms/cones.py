@@ -187,13 +187,18 @@ def witness_check(W: BipartiteOperator, rho: BipartiteOperator, k: int,
     """Pair a candidate witness with a state: runs the block-positivity
     heuristic on W and evaluates Tr(W rho).  A valid certificate implies
     SN(rho) >= k+1."""
-    cfg = cfg or SeeSawConfig()
     if not is_hermitian(W.mat):
         raise ValueError("witness must be Hermitian")
     _check_state(rho)
     if W.dims != rho.dims:
         raise ValueError("witness dims %r do not match state dims %r"
                          % (W.dims, rho.dims))
+    return _pair_witness(W, rho, k, cfg)
+
+
+def _pair_witness(W: BipartiteOperator, rho: BipartiteOperator, k: int,
+                  cfg: SeeSawConfig | None) -> WitnessCertificate:
+    """``witness_check`` without its input checks."""
     evidence = k_block_positivity(W, k, cfg)
     pairing = float(np.trace(W.mat @ rho.mat).real)
     return WitnessCertificate(W=W, k=k, pairing=pairing,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import BlockPositivityVerdict, SchmidtEnsemble, WitnessCertificate, \
-    _check_state, _reduction_witness, k_block_positivity, sn_upper_verify, witness_check
+    _check_state, _pair_witness, _reduction_witness, k_block_positivity, sn_upper_verify
 from .linalg import (
     EVAL_TOL,
     REFUTE_TOL,
@@ -213,7 +213,10 @@ def k_peb_refute(phi: MapRepr, k: int,
     reduction-type witness on C^r (x) C^n.  A valid certificate refutes."""
     rho = _choi_state(phi)
     _check_k(rho, k)
-    return witness_check(_reduction_witness(rho.dims, k), rho, k, cfg)
+    # _choi_state has checked that J is Hermitian and PSD with positive trace,
+    # so rho is a state, and the witness is built Hermitian on rho's dims:
+    # witness_check's checks would only add a second eigvalsh, of J / Tr J.
+    return _pair_witness(_reduction_witness(rho.dims, k), rho, k, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,19 @@ only halve, so the values are those of the full budget bit for bit.
 run twice per column (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50,
 2005), cheaper there than the LAPACK QR that ``brute_idk_norm`` keeps, and
 reads each top singular value as sqrt(lambda_max(C^dagger C)) from one
-batched ``eigvalsh``.
+batched ``eigvalsh``.  Its random-tangent polish falls short of the frame
+optimum on generic operators (7.0403 against ``omin_norm``'s 7.1487 at
+(3,4), k = 2), so agreement with ``omin_norm`` there is one-sided.
 
-The three Schmidt-vector oracles keep the sample axis last: A is
-(m, k, samples), B is (n, k, samples), and u = A B^T and the gemm products
-X u are (m*n, samples).  Every broadcast product, step and mask is then one
-long contiguous loop over the samples instead of samples*m loops of length
-at most 4.  On the 512-sample pool the (A, B) products run 1.9-2.8x faster
-than in a samples-first layout (numpy 2.4 on one Xeon core).
+The three Schmidt-vector oracles hold only their factor draws, samples
+first as drawn: A is (samples, m, k) and B is (samples, n, k).  The unit
+vectors u = A B^T / |A B^T| and their pairings are built ``_SAMPLE_BLOCK``
+samples at a time, so the sampling stage needs O(samples (m+n) k) memory
+plus one block, never an (m*n, samples) array.  Each block and the polish
+pool keep the sample axis last, so every broadcast product, step and mask
+is one long contiguous loop over the samples instead of samples*m loops of
+length at most 4.  On the 512-sample pool the (A, B) products run
+1.9-2.8x faster than in a samples-first layout (numpy 2.4, one Xeon core).
 """
 
 from __future__ import annotations
@@ -81,22 +86,29 @@ def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
 
 
-def _rank_k_vectors(rng: np.random.Generator, count: int, m: int, n: int, k: int):
-    """count unit vectors of Schmidt rank <= k as (A, B, unit u = A B^T
-    flattened), the sample axis last: contiguous (m, k, count) and (n, k,
-    count) arrays, and an (m*n, count) array."""
-    a = np.ascontiguousarray(_cgauss(rng, (count, m, k)).transpose(1, 2, 0))
-    b = np.ascontiguousarray(_cgauss(rng, (count, n, k)).transpose(1, 2, 0))
+def _gather(top, **draws) -> dict:
+    """The samples ``top`` (an index array or a slice) of samples-first
+    factor draws (samples, rows, k), copied with the sample axis last."""
+    return {name: np.ascontiguousarray(d[top].transpose(1, 2, 0))
+            for name, d in draws.items()}
+
+
+def _unit_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u = A B^T / |A B^T| for every sample, flattened to (m*n, samples)."""
     u = _outer(a, b)
-    return a, b, u / np.linalg.norm(u, axis=0)
+    return u / np.linalg.norm(u, axis=0)
 
 
-def _pairings(v: np.ndarray, xm: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """<v_s|X|w_s> for every column s, one gemm per block of columns."""
-    out = np.empty(v.shape[1], dtype=complex)
-    for lo in range(0, v.shape[1], _SAMPLE_BLOCK):
+def _pairings(xm: np.ndarray, v: dict, w: dict | None = None) -> np.ndarray:
+    """<v_s|X|w_s> for the unit vectors of the factor draws v = dict(a=A,
+    b=B) and w (default v), built and paired by one gemm a block of samples
+    at a time."""
+    out = np.empty(len(v["a"]), dtype=complex)
+    for lo in range(0, len(out), _SAMPLE_BLOCK):
         cols = slice(lo, lo + _SAMPLE_BLOCK)
-        out[cols] = (v[:, cols].conj() * (xm @ w[:, cols])).sum(0)
+        vb = _unit_vectors(**_gather(cols, **v))
+        wb = vb if w is None else _unit_vectors(**_gather(cols, **w))
+        out[cols] = (vb.conj() * (xm @ wb)).sum(0)
     return out
 
 
@@ -121,13 +133,12 @@ def _ab_grad(gmat: np.ndarray, a: np.ndarray, b: np.ndarray):
             _sample_matmul(gmat.transpose(1, 0, 2), a.conj()))
 
 
-def _polish(evaluate, params: dict, top: np.ndarray, budget: int, better) -> np.ndarray:
-    """Batched adaptive-step ascent with rollback on the samples ``top`` of
-    ``params``, for at most ``budget`` steps; returns the final values.
-    ``evaluate(params)`` gives each candidate's value and parameter gradients
-    (sample axis last).  It stops early once no candidate moves (see the
+def _polish(evaluate, params: dict, budget: int, better) -> np.ndarray:
+    """Batched adaptive-step ascent with rollback on the candidates
+    ``params`` (sample axis last), for at most ``budget`` steps; returns the
+    final values.  ``evaluate(params)`` gives each candidate's value and
+    parameter gradients.  It stops early once no candidate moves (see the
     module docstring)."""
-    params = {name: p.take(top, axis=-1) for name, p in params.items()}
     values, grads = evaluate(params)
     steps = np.full(values.shape, 0.1)
     for _ in range(budget):
@@ -162,9 +173,8 @@ def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None)
     xm = X.mat
     xh = xm.conj().T
     rng = cfg.rng.generator()
-    av, bv, v = _rank_k_vectors(rng, cfg.samples, m, n, k)
-    aw, bw, w = _rank_k_vectors(rng, cfg.samples, m, n, k)
-    vals = np.abs(_pairings(v, xm, w))
+    av, bv, aw, bw = (_cgauss(rng, (cfg.samples, d, k)) for d in (m, n, m, n))
+    vals = np.abs(_pairings(xm, dict(a=av, b=bv), dict(a=aw, b=bw)))
 
     def evaluate(p):
         uv, uw = _outer(p["av"], p["bv"]), _outer(p["aw"], p["bw"])
@@ -180,8 +190,8 @@ def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None)
         gaw, gbw = _ab_grad(gw.reshape(m, n, -1), p["aw"], p["bw"])
         return f, dict(av=gav, bv=gbv, aw=gaw, bw=gbw)
 
-    polished = _polish(evaluate, dict(av=av, bv=bv, aw=aw, bw=bw),
-                       np.argsort(vals)[-_POOL:], cfg.polish_steps, np.greater)
+    pool = _gather(np.argsort(vals)[-_POOL:], av=av, bv=bv, aw=aw, bw=bw)
+    polished = _polish(evaluate, pool, cfg.polish_steps, np.greater)
     return float(max(vals.max(), polished.max()))
 
 
@@ -194,8 +204,8 @@ def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
     m, n = X.dims
     xm = X.mat
     rng = cfg.rng.generator()
-    a, b, v = _rank_k_vectors(rng, cfg.samples, m, n, k)
-    vals = _pairings(v, xm, v).real
+    a, b = (_cgauss(rng, (cfg.samples, d, k)) for d in (m, n))
+    vals = _pairings(xm, dict(a=a, b=b)).real
 
     def evaluate(p):
         u, xu, nsq, g = _quad_form(xm, p["a"], p["b"])
@@ -204,8 +214,8 @@ def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
         ga, gb = _ab_grad((-(xu - f * u) / nsq).reshape(m, n, -1), p["a"], p["b"])
         return f, dict(a=ga, b=gb)
 
-    polished = _polish(evaluate, dict(a=a, b=b), np.argsort(vals)[:_POOL],
-                       cfg.polish_steps, np.less)
+    pool = _gather(np.argsort(vals)[:_POOL], a=a, b=b)
+    polished = _polish(evaluate, pool, cfg.polish_steps, np.less)
     return float(min(vals.min(), polished.min()))
 
 
@@ -218,8 +228,8 @@ def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
     xm = X.mat
     xh = xm.conj().T
     rng = cfg.rng.generator()
-    a, b, v = _rank_k_vectors(rng, cfg.samples, m, n, k)
-    vals = np.abs(_pairings(v, xm, v))
+    a, b = (_cgauss(rng, (cfg.samples, d, k)) for d in (m, n))
+    vals = np.abs(_pairings(xm, dict(a=a, b=b)))
 
     def evaluate(p):
         u, xu, nsq, g = _quad_form(xm, p["a"], p["b"])
@@ -230,8 +240,8 @@ def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
         ga, gb = _ab_grad(((gu - f * u) / nsq).reshape(m, n, -1), p["a"], p["b"])
         return f, dict(a=ga, b=gb)
 
-    polished = _polish(evaluate, dict(a=a, b=b), np.argsort(vals)[-_POOL:],
-                       cfg.polish_steps, np.greater)
+    pool = _gather(np.argsort(vals)[-_POOL:], a=a, b=b)
+    polished = _polish(evaluate, pool, cfg.polish_steps, np.greater)
     return float(max(vals.max(), polished.max()))
 
 

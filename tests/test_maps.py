@@ -151,6 +151,21 @@ def test_k_peb_refute_pairs_with_the_reduction_witness():
             assert np.array_equal(cert.W.mat, reduction_witness(n, k).mat)
 
 
+def test_k_peb_refute_takes_one_spectrum_of_the_choi_matrix(monkeypatch):
+    # the CP check's eigvalsh already shows that J / Tr J is a state
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cert = k_peb_refute(identity_map(3), 2, _cfg(9, restarts=1))
+    assert calls == [(9, 9)]
+    assert cert.pairing == pytest.approx(-0.5, abs=1e-9)
+
+
 def test_k_peb_requires_cp():
     with pytest.raises(ValueError):
         k_peb_refute(transpose_map(2), 1, _cfg(10, restarts=1))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from schmidt_norms.oracle import (
     _cgauss,
     _frame_compressions,
     _gram_schmidt,
+    _outer,
     _pairings,
     _phase_fixed_qr,
     _polish,
@@ -183,13 +186,22 @@ def test_frame_compressions_match_dense(m, n, k):
 
 
 def test_blocked_pairings_match_einsum():
-    # samples on both sides of two block boundaries
+    # factor draws on both sides of two block boundaries, paired against the
+    # unit vectors built for all samples at once
     rng = RandomConfig(seed=26).generator()
     count = 2 * _SAMPLE_BLOCK + 3
-    v, w = complex_gaussian(rng, (6, count)), complex_gaussian(rng, (6, count))
+    v, w = ({"a": complex_gaussian(rng, (count, 2, 2)),
+             "b": complex_gaussian(rng, (count, 3, 2))} for _ in range(2))
     xm = complex_gaussian(rng, (6, 6))
-    want = np.einsum("is,ij,js->s", v.conj(), xm, w)
-    assert np.allclose(_pairings(v, xm, w), want, rtol=0, atol=1e-12)
+
+    def unit(f):  # the normalised u = A B^T of every sample, sample axis last
+        u = _outer(*(np.moveaxis(f[name], 0, -1) for name in ("a", "b")))
+        return u / np.linalg.norm(u, axis=0)
+
+    want = np.einsum("is,ij,js->s", unit(v).conj(), xm, unit(w))
+    assert np.allclose(_pairings(xm, v, w), want, rtol=0, atol=1e-12)
+    want = np.einsum("is,ij,js->s", unit(v).conj(), xm, unit(v))
+    assert np.allclose(_pairings(xm, v), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3, 3, 1), (3, 4, 2), (4, 2, 3)])
@@ -296,7 +308,7 @@ def test_polish_stops_once_every_candidate_is_frozen():
         return evaluate(p)
 
     budget = 2000
-    got = _polish(counted, params, np.arange(5), budget, np.greater)
+    got = _polish(counted, params, budget, np.greater)
     assert 10 < len(calls) < budget + 1  # stopped early, but not at once
 
     # the same loop with the stop taken out
@@ -322,3 +334,31 @@ def test_polished_values_on_a_freezing_pool():
     assert brute_sk_norm(op, 1, cfg) == 0.33333333333333365
     assert brute_min_order(op, 1, cfg) == 0.33333333333333365
     assert brute_block_min(herm, 1, cfg) == -0.2500000000000002
+
+
+# Values of the layout that built every sample's m*n vector before pairing,
+# on a pool that does not freeze within its 30 steps.
+def test_blocked_sampling_keeps_the_values():
+    x, h = _parity_operator(seed=34)
+    cfg = OracleConfig(samples=2 * _SAMPLE_BLOCK + 3, polish_steps=30,
+                       rng=RandomConfig(seed=35))
+    assert brute_sk_norm(x, 2, cfg) == 7.761272476799699
+    assert brute_min_order(x, 2, cfg) == 6.427977426944642
+    assert brute_block_min(h, 2, cfg) == -5.652672926792356
+
+
+@pytest.mark.parametrize("brute, pairs, slack_mib", [
+    (brute_sk_norm, 2, 12), (brute_min_order, 1, 8), (brute_block_min, 1, 8)])
+def test_sampling_stage_holds_only_the_draws(brute, pairs, slack_mib):
+    # 100 000 samples at (6, 6): an (m*n, samples) complex array alone is
+    # 55 MiB, the (A, B) draws are 18 MiB per pair
+    x, h = _parity_operator((6, 6), seed=36)
+    cfg = OracleConfig(samples=100_000, polish_steps=0, rng=RandomConfig(seed=37))
+    draw_bytes = pairs * cfg.samples * (6 + 6) * 1 * 16
+    tracemalloc.start()
+    try:
+        brute(h if brute is brute_block_min else x, 1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - draw_bytes <= slack_mib * 2 ** 20
