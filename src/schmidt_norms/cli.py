@@ -288,7 +288,7 @@ def _recheck_witness(report: dict, args):
 def _recheck_kpeb(report: dict, args):
     if args.map is None:
         raise _CliError("recheck of 'map kpeb' needs --map")
-    rho = _choi_state(load_map(read_json(args.map)))
+    rho = _choi_state(load_map(read_json(args.map)))[0]
     w = load_bipartite(report["result"]["witness_operator"])
     _check_witness_dims(w.dims, rho.dims)
     value = float(np.trace(w.mat @ rho.mat).real)

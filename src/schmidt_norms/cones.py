@@ -161,14 +161,15 @@ def k_block_positivity(X: BipartiteOperator, k: int,
                                   search=search)
 
 
-def _check_state(rho: BipartiteOperator) -> None:
+def _check_state(rho: BipartiteOperator, min_eig: float | None = None) -> None:
     """Raise ValueError unless rho is a density operator: Hermitian, unit
-    trace and positive semidefinite (within EVAL_TOL)."""
+    trace and positive semidefinite (within EVAL_TOL).  ``min_eig`` is rho's
+    smallest eigenvalue where the caller already has it."""
     if not is_hermitian(rho.mat):
         raise ValueError("state must be Hermitian")
     if abs(np.trace(rho.mat).real - 1.0) > UNIT_TOL:
         raise ValueError("state must have unit trace")
-    if min_eig_hermitian(rho.mat) < -EVAL_TOL:
+    if (min_eig_hermitian(rho.mat) if min_eig is None else min_eig) < -EVAL_TOL:
         raise ValueError("state must be positive semidefinite")
 
 

@@ -116,10 +116,15 @@ class MapRepr:
 
     def is_cp(self) -> bool:
         """Choi matrix Hermitian with no eigenvalue below -EVAL_TOL."""
+        return self._choi_min_eig() >= -EVAL_TOL
+
+    def _choi_min_eig(self) -> float:
+        """Smallest eigenvalue of the Choi matrix; -inf where it is not
+        Hermitian within HERM_TOL (then the map is not CP)."""
         try:
-            return min_eig_hermitian(self.choi.mat) >= -EVAL_TOL
-        except ValueError:  # not Hermitian within HERM_TOL
-            return False
+            return min_eig_hermitian(self.choi.mat)
+        except ValueError:
+            return -np.inf
 
     def is_trace_preserving(self) -> bool:
         """Tr Phi(|i><j|) = delta_ij within UNIT_TOL, entry by entry."""
@@ -192,30 +197,35 @@ def k_positivity(phi: MapRepr, k: int,
     return k_block_positivity(phi.choi, k, cfg)
 
 
-def _choi_state(phi: MapRepr) -> BipartiteOperator:
-    if not phi.is_cp():
+def _choi_state(phi: MapRepr) -> tuple[BipartiteOperator, float]:
+    """rho = J / Tr J of a CP map with Tr J > 0, and rho's smallest
+    eigenvalue, lambda_min(J) / Tr J from the one eigvalsh of J that decides
+    complete positivity."""
+    lam = phi._choi_min_eig()
+    if not lam >= -EVAL_TOL:
         raise ValueError("operation defined for completely positive maps only")
     tr = float(np.trace(phi.choi.mat).real)
     if tr <= 0:
         raise ValueError("Choi matrix has nonpositive trace")
-    return BipartiteOperator(phi.choi.dims, phi.choi.mat / tr)
+    return BipartiteOperator(phi.choi.dims, phi.choi.mat / tr), lam / tr
 
 
 def k_peb_certify(phi: MapRepr, ens: SchmidtEnsemble) -> bool:
     """Certify k-partial entanglement breaking: the normalized Choi state has
     Schmidt number <= ens.k iff such an ensemble exists."""
-    return sn_upper_verify(_choi_state(phi), ens)
+    return sn_upper_verify(_choi_state(phi)[0], ens)
 
 
 def k_peb_refute(phi: MapRepr, k: int,
                  cfg: SeeSawConfig | None = None) -> WitnessCertificate:
     """Attempt to refute k-PEB: pair the normalized Choi state against the
     reduction-type witness on C^r (x) C^n.  A valid certificate refutes."""
-    rho = _choi_state(phi)
+    rho, lam = _choi_state(phi)
     _check_k(rho, k)
-    # _choi_state has checked that J is Hermitian and PSD with positive trace,
-    # so rho is a state, and the witness is built Hermitian on rho's dims:
-    # witness_check's checks would only add a second eigvalsh, of J / Tr J.
+    # witness_check's checks, with rho's spectrum read off J's (Tr J may be
+    # tiny, so J passing is_cp does not make rho a state); the reduction
+    # witness is Hermitian on rho's dims by construction
+    _check_state(rho, lam)
     return _pair_witness(_reduction_witness(rho.dims, k), rho, k, cfg)
 
 

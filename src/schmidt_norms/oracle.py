@@ -93,21 +93,21 @@ def _gather(top, **draws) -> dict:
             for name, d in draws.items()}
 
 
-def _unit_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """u = A B^T / |A B^T| for every sample, flattened to (m*n, samples)."""
-    u = _outer(a, b)
+def _unit_vectors(cols: slice, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u = A B^T / |A B^T| of the draws' samples ``cols``, as (m*n, samples)."""
+    u = _outer(*(np.ascontiguousarray(d[cols].transpose(1, 2, 0)) for d in (a, b)))
     return u / np.linalg.norm(u, axis=0)
 
 
-def _pairings(xm: np.ndarray, v: dict, w: dict | None = None) -> np.ndarray:
-    """<v_s|X|w_s> for the unit vectors of the factor draws v = dict(a=A,
-    b=B) and w (default v), built and paired by one gemm a block of samples
-    at a time."""
-    out = np.empty(len(v["a"]), dtype=complex)
+def _pairings(xm: np.ndarray, av: np.ndarray, bv: np.ndarray,
+              aw: np.ndarray | None = None, bw: np.ndarray | None = None) -> np.ndarray:
+    """<v_s|X|w_s> for the unit vectors of the draws (A_v, B_v) and (A_w,
+    B_w) (default v), built and paired by one gemm a block at a time."""
+    out = np.empty(len(av), dtype=complex)
     for lo in range(0, len(out), _SAMPLE_BLOCK):
         cols = slice(lo, lo + _SAMPLE_BLOCK)
-        vb = _unit_vectors(**_gather(cols, **v))
-        wb = vb if w is None else _unit_vectors(**_gather(cols, **w))
+        vb = _unit_vectors(cols, av, bv)
+        wb = vb if aw is None else _unit_vectors(cols, aw, bw)
         out[cols] = (vb.conj() * (xm @ wb)).sum(0)
     return out
 
@@ -174,7 +174,7 @@ def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None)
     xh = xm.conj().T
     rng = cfg.rng.generator()
     av, bv, aw, bw = (_cgauss(rng, (cfg.samples, d, k)) for d in (m, n, m, n))
-    vals = np.abs(_pairings(xm, dict(a=av, b=bv), dict(a=aw, b=bw)))
+    vals = np.abs(_pairings(xm, av, bv, aw, bw))
 
     def evaluate(p):
         uv, uw = _outer(p["av"], p["bv"]), _outer(p["aw"], p["bw"])
@@ -205,7 +205,7 @@ def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
     xm = X.mat
     rng = cfg.rng.generator()
     a, b = (_cgauss(rng, (cfg.samples, d, k)) for d in (m, n))
-    vals = _pairings(xm, dict(a=a, b=b)).real
+    vals = _pairings(xm, a, b).real
 
     def evaluate(p):
         u, xu, nsq, g = _quad_form(xm, p["a"], p["b"])
@@ -229,7 +229,7 @@ def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
     xh = xm.conj().T
     rng = cfg.rng.generator()
     a, b = (_cgauss(rng, (cfg.samples, d, k)) for d in (m, n))
-    vals = np.abs(_pairings(xm, dict(a=a, b=b)))
+    vals = np.abs(_pairings(xm, a, b))
 
     def evaluate(p):
         u, xu, nsq, g = _quad_form(xm, p["a"], p["b"])

@@ -152,7 +152,7 @@ def test_k_peb_refute_pairs_with_the_reduction_witness():
 
 
 def test_k_peb_refute_takes_one_spectrum_of_the_choi_matrix(monkeypatch):
-    # the CP check's eigvalsh already shows that J / Tr J is a state
+    # the CP check's eigvalsh of J also gives the spectrum of J / Tr J
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -164,6 +164,19 @@ def test_k_peb_refute_takes_one_spectrum_of_the_choi_matrix(monkeypatch):
     cert = k_peb_refute(identity_map(3), 2, _cfg(9, restarts=1))
     assert calls == [(9, 9)]
     assert cert.pairing == pytest.approx(-0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("skew, message", [(0.0, "positive semidefinite"),
+                                            (1e-11, "Hermitian")])
+def test_k_peb_refute_rejects_a_tiny_trace_choi_matrix_that_is_no_state(skew, message):
+    # J = 1e-9 (2|00><00| - |11><11|) (+ a skew part below HERM_TOL) passes
+    # is_cp, but J / Tr J has eigenvalue -1 (and a skew part of 0.01)
+    mat = 1e-9 * np.diag([2.0, 0.0, 0.0, -1.0]).astype(complex)
+    mat[0, 1], mat[1, 0] = skew, -skew
+    phi = MapRepr.from_choi(BipartiteOperator((2, 2), mat))
+    assert phi.is_cp()
+    with pytest.raises(ValueError, match="state must be " + message):
+        k_peb_refute(phi, 1, _cfg(10, restarts=1))
 
 
 def test_k_peb_requires_cp():

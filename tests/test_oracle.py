@@ -190,18 +190,18 @@ def test_blocked_pairings_match_einsum():
     # unit vectors built for all samples at once
     rng = RandomConfig(seed=26).generator()
     count = 2 * _SAMPLE_BLOCK + 3
-    v, w = ({"a": complex_gaussian(rng, (count, 2, 2)),
-             "b": complex_gaussian(rng, (count, 3, 2))} for _ in range(2))
+    v, w = ((complex_gaussian(rng, (count, 2, 2)),
+             complex_gaussian(rng, (count, 3, 2))) for _ in range(2))
     xm = complex_gaussian(rng, (6, 6))
 
     def unit(f):  # the normalised u = A B^T of every sample, sample axis last
-        u = _outer(*(np.moveaxis(f[name], 0, -1) for name in ("a", "b")))
+        u = _outer(*(np.moveaxis(d, 0, -1) for d in f))
         return u / np.linalg.norm(u, axis=0)
 
     want = np.einsum("is,ij,js->s", unit(v).conj(), xm, unit(w))
-    assert np.allclose(_pairings(xm, v, w), want, rtol=0, atol=1e-12)
+    assert np.allclose(_pairings(xm, *v, *w), want, rtol=0, atol=1e-12)
     want = np.einsum("is,ij,js->s", unit(v).conj(), xm, unit(v))
-    assert np.allclose(_pairings(xm, v), want, rtol=0, atol=1e-12)
+    assert np.allclose(_pairings(xm, *v), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3, 3, 1), (3, 4, 2), (4, 2, 3)])
