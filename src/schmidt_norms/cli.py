@@ -12,26 +12,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .cones import k_block_positivity, sn_upper_verify, witness_check
-from .linalg import Frame, trace_norm
-from .maps import (
-    _choi_state,
-    detection_map,
-    hermitian_trace_norm,
-    idk_apply,
-    idk_op_norm,
-    k_peb_certify,
-    k_peb_refute,
-    k_positivity,
-    sn_contraction_test,
-)
+from .cones import (_block_value, _check_state, _witness_pairing, k_block_positivity,
+                    sn_upper_verify, witness_check)
+from .linalg import Frame
+from .maps import (_choi_state, _contraction_value, _hermitian_choi, detection_map,
+                   hermitian_trace_norm, idk_op_norm, k_peb_certify, k_peb_refute,
+                   k_positivity, sn_contraction_test)
 from .matio import (
     FormatError,
     dump_bipartite,
@@ -253,71 +245,56 @@ def _handle_oracle(args):
 
 
 def _recheck_blockpos(report: dict, args):
-    if args.file is None:
-        raise _CliError("recheck of %r needs --file" % report["command"])
     obj = read_json(args.file)
-    op = load_map(obj).choi if report["command"] == "map kpos" \
+    op = _hermitian_choi(load_map(obj)) if report["command"] == "map kpos" \
         else load_bipartite(obj)
-    wit = load_state(report["result"]["witness_vector"])
-    if wit.dims != op.dims:
-        raise _CliError("witness vector dims %r do not match the dims %r of %r"
-                        % (wit.dims, op.dims, args.file))
-    value = float(np.real(wit.amplitudes.conj() @ op.mat @ wit.amplitudes))
+    value = _block_value(op, load_state(report["result"]["witness_vector"]))
     return value, "min_value", {"file": _digest(args.file)}
 
 
-def _check_witness_dims(witness_dims, state_dims):
-    """Input error, worded as in ``cone witness``, when a witness and the
-    state it is paired with have different dims."""
-    if witness_dims != state_dims:
-        raise _CliError("witness dims %r do not match state dims %r"
-                        % (witness_dims, state_dims))
-
-
 def _recheck_witness(report: dict, args):
-    if args.witness is None or args.state is None:
-        raise _CliError("recheck of 'cone witness' needs --witness and --state")
     w = load_bipartite(read_json(args.witness))
     rho = load_bipartite(read_json(args.state))
-    _check_witness_dims(w.dims, rho.dims)
-    value = float(np.trace(w.mat @ rho.mat).real)
+    _check_state(rho)
     inputs = {"witness": _digest(args.witness), "state": _digest(args.state)}
-    return value, "pairing", inputs
+    return _witness_pairing(w, rho), "pairing", inputs
 
 
 def _recheck_kpeb(report: dict, args):
-    if args.map is None:
-        raise _CliError("recheck of 'map kpeb' needs --map")
-    rho = _choi_state(load_map(read_json(args.map)))[0]
+    rho = _choi_state(load_map(read_json(args.map)))
     w = load_bipartite(report["result"]["witness_operator"])
-    _check_witness_dims(w.dims, rho.dims)
-    value = float(np.trace(w.mat @ rho.mat).real)
-    return value, "pairing", {"map": _digest(args.map)}
+    return _witness_pairing(w, rho), "pairing", {"map": _digest(args.map)}
 
 
 def _report_field(obj: dict, name: str, kinds=int):
-    """``obj[name]`` if it is an instance of ``kinds`` and not a bool;
-    otherwise an input error (exit 1)."""
+    """``obj[name]`` if it is an instance of ``kinds``, not a bool and, as a
+    float, finite; otherwise an input error (exit 1)."""
     value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        what = {int: "an integer", dict: "an object"}.get(kinds, "a number")
+    if isinstance(value, bool) or not isinstance(value, kinds) \
+            or isinstance(value, float) and not math.isfinite(value):
+        what = {int: "an integer", dict: "an object"}.get(kinds, "a finite number")
         raise _CliError("report field %r must be %s, got %r" % (name, what, value))
     return value
 
 
 def _recheck_detect(report: dict, args):
-    if args.map is None or args.state is None:
-        raise _CliError("recheck of 'map detect' needs --map and --state")
     psi = load_map(read_json(args.map))
     rho = load_bipartite(read_json(args.state))
     p = _report_field(report, "parameters", dict)
     for name in ("restarts", "max_iters", "seed"):
         _report_field(p, name)
     _report_field(p, "tol", (int, float))
-    det = detection_map(psi, _seesaw_cfg(p))
-    value = trace_norm(idk_apply(det, rho.mat, rho.m))
+    value = _contraction_value(rho, detection_map(psi, _seesaw_cfg(p)))
     inputs = {"map": _digest(args.map), "state": _digest(args.state)}
     return value, "trace_norm_value", inputs
+
+
+# recheckable command: (the recheck of its report, the input flags it needs)
+_RECHECKS = {"cone blockpos": (_recheck_blockpos, ("file",)),
+             "map kpos": (_recheck_blockpos, ("file",)),
+             "cone witness": (_recheck_witness, ("witness", "state")),
+             "map kpeb": (_recheck_kpeb, ("map",)),
+             "map detect": (_recheck_detect, ("map", "state"))}
 
 
 def _handle_oracle_recheck(args):
@@ -325,15 +302,16 @@ def _handle_oracle_recheck(args):
     if (not isinstance(report, dict) or "command" not in report
             or "result" not in report):
         raise _CliError("--report file is not a tool report")
-    handlers = {"cone blockpos": _recheck_blockpos, "map kpos": _recheck_blockpos,
-                "cone witness": _recheck_witness, "map kpeb": _recheck_kpeb,
-                "map detect": _recheck_detect}
     command = report["command"]
-    if not isinstance(command, str) or command not in handlers:
+    if not isinstance(command, str) or command not in _RECHECKS:
         raise _CliError("cannot recheck reports of %r" % (command,))
+    recheck, flags = _RECHECKS[command]
+    if any(getattr(args, flag) is None for flag in flags):
+        raise _CliError("recheck of %r needs %s"
+                        % (command, " and ".join("--" + flag for flag in flags)))
     _report_field(report, "result", dict)
     try:
-        value, field, inputs = handlers[command](report, args)
+        value, field, inputs = recheck(report, args)
         reference = _report_field(report["result"], field, (int, float))
     except KeyError as exc:
         raise _CliError("report is missing field %s" % exc)

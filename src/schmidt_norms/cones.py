@@ -10,6 +10,8 @@ positivity with an explicit witness vector; otherwise the verdict is
 ``heuristically-positive``, which is deliberately one-sided: no completeness
 is claimed.  Each verdict holds the ``optim.SearchRecord`` of its search, so
 a ``heuristically-positive`` verdict shows whether that search converged.
+A command and its recheck share one checked core per certificate value:
+``_block_value``, ``_witness_pairing`` and ``_reconstructs``.
 """
 
 from __future__ import annotations
@@ -151,14 +153,27 @@ def k_block_positivity(X: BipartiteOperator, k: int,
     """
     cfg = cfg or SeeSawConfig()
     if not is_hermitian(X.mat):
-        raise ValueError("k-block positivity needs a Hermitian operator")
+        raise ValueError(_NOT_HERMITIAN)
     _check_k(X, k)
     frame, (wit,), search = frame_search(X, k, _neg_mineig_objective, cfg)
-    val = float(np.real(wit.amplitudes.conj() @ X.mat @ wit.amplitudes))
+    val = _block_value(X, wit)
     status = "refuted" if val < -REFUTE_TOL else "heuristically-positive"
     return BlockPositivityVerdict(status=status, min_value=val,
                                   witness_vector=wit, k=k, frame=frame,
                                   search=search)
+
+
+_NOT_HERMITIAN = "k-block positivity needs a Hermitian operator"
+
+
+def _block_value(X: BipartiteOperator, w: PureState) -> float:
+    """<w|X|w> under k_block_positivity's rules: X Hermitian, w on its dims."""
+    if not is_hermitian(X.mat):
+        raise ValueError(_NOT_HERMITIAN)
+    if w.dims != X.dims:
+        raise ValueError("witness vector dims %r do not match operator dims %r"
+                         % (w.dims, X.dims))
+    return float(np.real(w.amplitudes.conj() @ X.mat @ w.amplitudes))
 
 
 def _check_state(rho: BipartiteOperator, min_eig: float | None = None) -> None:
@@ -177,6 +192,11 @@ def sn_upper_verify(rho: BipartiteOperator, ens: SchmidtEnsemble) -> bool:
     """True iff the ensemble reconstructs rho within RECON_TOL, certifying
     Schmidt number <= ens.k."""
     _check_state(rho)
+    return _reconstructs(rho, ens)
+
+
+def _reconstructs(rho: BipartiteOperator, ens: SchmidtEnsemble) -> bool:
+    """``sn_upper_verify`` on a state rho that the caller has checked."""
     if ens.dims != rho.dims:
         raise ValueError("ensemble dims %r do not match state dims %r"
                          % (ens.dims, rho.dims))
@@ -185,25 +205,22 @@ def sn_upper_verify(rho: BipartiteOperator, ens: SchmidtEnsemble) -> bool:
 
 def witness_check(W: BipartiteOperator, rho: BipartiteOperator, k: int,
                   cfg: SeeSawConfig | None = None) -> WitnessCertificate:
-    """Pair a candidate witness with a state: runs the block-positivity
-    heuristic on W and evaluates Tr(W rho).  A valid certificate implies
+    """Pair a candidate witness with a state: evaluates Tr(W rho) and runs
+    the block-positivity heuristic on W.  A valid certificate implies
     SN(rho) >= k+1."""
+    _check_state(rho)
+    return WitnessCertificate(W=W, k=k, pairing=_witness_pairing(W, rho),
+                              block_pos_evidence=k_block_positivity(W, k, cfg))
+
+
+def _witness_pairing(W: BipartiteOperator, rho: BipartiteOperator) -> float:
+    """Tr(W rho) under witness_check's rules on W, for a checked state rho."""
     if not is_hermitian(W.mat):
         raise ValueError("witness must be Hermitian")
-    _check_state(rho)
     if W.dims != rho.dims:
         raise ValueError("witness dims %r do not match state dims %r"
                          % (W.dims, rho.dims))
-    return _pair_witness(W, rho, k, cfg)
-
-
-def _pair_witness(W: BipartiteOperator, rho: BipartiteOperator, k: int,
-                  cfg: SeeSawConfig | None) -> WitnessCertificate:
-    """``witness_check`` without its input checks."""
-    evidence = k_block_positivity(W, k, cfg)
-    pairing = float(np.trace(W.mat @ rho.mat).real)
-    return WitnessCertificate(W=W, k=k, pairing=pairing,
-                              block_pos_evidence=evidence)
+    return float(np.trace(W.mat @ rho.mat).real)
 
 
 def _reduction_witness(dims: tuple[int, int], k: int) -> BipartiteOperator:

@@ -14,7 +14,9 @@ restarts as the rows of one stacked ascent (``optim.ascend_rows``,
 search, or on a completely positive map a proved closed form, ``exact``
 with the zero-work record: ||Phi(I)|| (Russo-Dye) and lambda_max(Tr_out
 J(Phi)).  The kernels ``idk_apply`` and ``idk_pairing_matrix`` are gemms on
-transposed layouts of the Choi tensor, and take a leading stack axis.
+transposed layouts of the Choi tensor, and take a leading stack axis.  The
+map certificates and their rechecks share ``_hermitian_choi``, the checked
+state ``_choi_state`` and the checked trace norm ``_contraction_value``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import BlockPositivityVerdict, SchmidtEnsemble, WitnessCertificate, \
-    _check_state, _pair_witness, _reduction_witness, k_block_positivity, sn_upper_verify
+    _check_state, _reconstructs, _reduction_witness, _witness_pairing, k_block_positivity
 from .linalg import (
     EVAL_TOL,
     REFUTE_TOL,
@@ -192,41 +194,46 @@ def k_positivity(phi: MapRepr, k: int,
                  cfg: SeeSawConfig | None = None) -> BlockPositivityVerdict:
     """k-positive iff the Choi matrix is k-block positive; delegates to the
     cones module.  A refutation witness encodes the violating input state."""
-    if not is_hermitian(phi.choi.mat):
+    return k_block_positivity(_hermitian_choi(phi), k, cfg)
+
+
+def _hermitian_choi(phi: MapRepr) -> BipartiteOperator:
+    """phi's Choi matrix under k_positivity's rule: phi preserves Hermiticity."""
+    if not phi.is_hermiticity_preserving():
         raise ValueError("k-positivity needs a Hermiticity-preserving map")
-    return k_block_positivity(phi.choi, k, cfg)
+    return phi.choi
 
 
-def _choi_state(phi: MapRepr) -> tuple[BipartiteOperator, float]:
-    """rho = J / Tr J of a CP map with Tr J > 0, and rho's smallest
-    eigenvalue, lambda_min(J) / Tr J from the one eigvalsh of J that decides
-    complete positivity."""
+def _choi_state(phi: MapRepr) -> BipartiteOperator:
+    """rho = J / Tr J of a CP map with Tr J > 0, checked as a state (a tiny
+    Tr J can make it none) with lambda_min(J) / Tr J from the one eigvalsh
+    of J that decides complete positivity."""
     lam = phi._choi_min_eig()
     if not lam >= -EVAL_TOL:
         raise ValueError("operation defined for completely positive maps only")
     tr = float(np.trace(phi.choi.mat).real)
     if tr <= 0:
         raise ValueError("Choi matrix has nonpositive trace")
-    return BipartiteOperator(phi.choi.dims, phi.choi.mat / tr), lam / tr
+    rho = BipartiteOperator(phi.choi.dims, phi.choi.mat / tr)
+    _check_state(rho, lam / tr)
+    return rho
 
 
 def k_peb_certify(phi: MapRepr, ens: SchmidtEnsemble) -> bool:
     """Certify k-partial entanglement breaking: the normalized Choi state has
     Schmidt number <= ens.k iff such an ensemble exists."""
-    return sn_upper_verify(_choi_state(phi)[0], ens)
+    return _reconstructs(_choi_state(phi), ens)
 
 
 def k_peb_refute(phi: MapRepr, k: int,
                  cfg: SeeSawConfig | None = None) -> WitnessCertificate:
     """Attempt to refute k-PEB: pair the normalized Choi state against the
     reduction-type witness on C^r (x) C^n.  A valid certificate refutes."""
-    rho, lam = _choi_state(phi)
+    rho = _choi_state(phi)
     _check_k(rho, k)
-    # witness_check's checks, with rho's spectrum read off J's (Tr J may be
-    # tiny, so J passing is_cp does not make rho a state); the reduction
-    # witness is Hermitian on rho's dims by construction
-    _check_state(rho, lam)
-    return _pair_witness(_reduction_witness(rho.dims, k), rho, k, cfg)
+    W = _reduction_witness(rho.dims, k)
+    return WitnessCertificate(W=W, k=k, pairing=_witness_pairing(W, rho),
+                              block_pos_evidence=k_block_positivity(W, k, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +412,22 @@ def sn_contraction_test(rho: BipartiteOperator, phi: MapRepr, k: int,
     cfg = cfg or SeeSawConfig()
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_state(rho)
+    val = _contraction_value(rho, phi)
     if norm_bound is not None and not 0.0 <= norm_bound < np.inf:  # also NaN
         raise ValueError("norm_bound must be finite and >= 0, got %r" % norm_bound)
-    if rho.n != phi.in_dim:
-        raise ValueError("map input dim %d does not match state second factor %d"
-                         % (phi.in_dim, rho.n))
     bound = hermitian_trace_norm(phi, k, cfg).value if norm_bound is None else norm_bound
     if bound > 1.0 + EVAL_TOL:
         raise ValueError("map fails the contraction precondition: "
                          "||id_k (x) Phi||_tr^H = %.12g > 1" % bound)
-    val = trace_norm(idk_apply(phi, rho.mat, rho.m))
     status = "detected" if val > 1.0 + REFUTE_TOL else "not-detected"
     return ContractionTestResult(status=status, trace_norm_value=val, k=k,
                                  norm_bound=float(bound))
+
+
+def _contraction_value(rho: BipartiteOperator, phi: MapRepr) -> float:
+    """||(id (x) Phi)(rho)||_tr under sn_contraction_test's input rules."""
+    _check_state(rho)
+    if rho.n != phi.in_dim:
+        raise ValueError("map input dim %d does not match state second factor %d"
+                         % (phi.in_dim, rho.n))
+    return trace_norm(idk_apply(phi, rho.mat, rho.m))

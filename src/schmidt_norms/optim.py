@@ -368,8 +368,8 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
     compressed once, to C.  ``screen(C, term) -> (bound, warm)``, when
     given, bounds the objective at C from below using the incumbent term; a
     trial it puts at or below the current value is rejected unsolved, any
-    other solved by ``objective(C, warm)``, or ``objective(C)`` when warm is
-    None.  Returns a RestartOutcome whose payload is (V, value-attaining
+    other solved by ``objective(C, warm)``: a screened objective takes
+    ``(C, warm)``, warm possibly None.  Returns a RestartOutcome whose payload is (V, value-attaining
     term).
     """
     layouts = _gradient_layouts(t4)
@@ -380,7 +380,7 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
             return objective(c)
         bound, warm = screen(c, term)
         if bound > value:
-            return objective(c) if warm is None else objective(c, warm)
+            return objective(c, warm)
         return None
 
     def direction(v, term):
@@ -398,8 +398,9 @@ def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
 def frame_search(X: BipartiteOperator, k: int, objective, cfg: SeeSawConfig,
                  single_vector: bool = True, screen=None):
     """Maximize ``objective`` (as for :func:`frame_ascent`, with its
-    ``screen``) over the compressions of X by k-dimensional right frames,
-    restarted through :func:`run_restarts`.
+    ``screen``; a screened objective takes ``(C, warm)``) over the
+    compressions of X by k-dimensional right frames, restarted through
+    :func:`run_restarts`.
 
     Returns (frame, vectors, record): the best restart's Frame, the
     attaining vectors of its term, u (and w unless ``single_vector``), as

@@ -479,3 +479,171 @@ def test_verify_sn_ensemble_k0_exit_1(workdir, capsys):
     assert code == 1
     assert report is None
     assert err.startswith("error:") and "'k'" in err
+
+
+# recheck kind: (the command's argv, the recheck's input flags, with "@" for
+# the input they share; that input genuine and bad; the command's message
+# on the bad one)
+_RECHECKED = {
+    "cone witness": (["cone", "witness", "--witness", "w32.json", "--state", "@", "--k", "2"],
+                     ["--witness", "w32.json", "--state", "@"], "iso9.json", "notpsd.json",
+                     "state must be positive semidefinite"),
+    "cone blockpos": (["cone", "blockpos", "@", "--k", "2"], ["--file", "@"],
+                      "swap3.json", "nonherm.json",
+                      "k-block positivity needs a Hermitian operator"),
+    "map kpos": (["map", "kpos", "@", "--k", "2"], ["--file", "@"], "tmap.json", "nonhp.json",
+                 "k-positivity needs a Hermiticity-preserving map"),
+    "map kpeb": (["map", "kpeb", "@", "--k", "1"], ["--map", "@"], "omega.json", "tiny.json",
+                 "state must be positive semidefinite"),
+    "map detect": (["map", "detect", "--state", "@", "--map", "red3.json", "--k", "2"],
+                   ["--map", "red3.json", "--state", "@"], "iso9.json", "notpsd.json",
+                   "state must be positive semidefinite"),
+}
+
+
+def _argv(workdir, argv, shared):
+    return [str(workdir / a) if a.endswith(".json") else a
+            for a in (shared if a == "@" else a for a in argv)]
+
+
+def _write_recheck_inputs(workdir):
+    from schmidt_norms.cones import reduction_witness
+    from schmidt_norms.maps import MapRepr, depolarizing_map, transpose_map
+    write_json(str(workdir / "w32.json"), dump_bipartite(reduction_witness(3, 2)))
+    write_json(str(workdir / "tmap.json"), dump_map(transpose_map(3)))
+    write_json(str(workdir / "omega.json"), dump_map(depolarizing_map(3)))
+    # isotropic(0.9, 3) plus 0.1 (|01><01| - |10><10|): unit trace, Hermitian,
+    # the same pairing with reduction_witness(3, 2), and <10|.|10> = -0.0875
+    shift = np.zeros((9, 9))
+    shift[1, 1], shift[3, 3] = 0.1, -0.1
+    write_json(str(workdir / "notpsd.json"), dump_bipartite(
+        BipartiteOperator((3, 3), fixtures.isotropic(0.9, 3).mat + shift)))
+    # a skew part that leaves every <v|X|v> real part as it is
+    skewed = fixtures.swap_operator(3).mat + 0.5j * np.eye(9)
+    write_json(str(workdir / "nonherm.json"),
+               dump_bipartite(BipartiteOperator((3, 3), skewed)))
+    skewed = transpose_map(3).choi.mat + 0.5j * np.eye(9)
+    write_json(str(workdir / "nonhp.json"),
+               dump_map(MapRepr.from_choi(BipartiteOperator((3, 3), skewed))))
+    # J = diag(1e-8, -5e-9, 0, ...) passes is_cp; J / Tr J has eigenvalue -1
+    tiny = np.diag([1e-8, -5e-9] + [0.0] * 7)
+    write_json(str(workdir / "tiny.json"),
+               dump_map(MapRepr.from_choi(BipartiteOperator((3, 3), tiny))))
+
+
+@pytest.mark.parametrize("kind", sorted(_RECHECKED))
+def test_recheck_runs_the_commands_input_checks(workdir, capsys, kind):
+    # a genuine report rechecks to a match on its own inputs; on an input
+    # that its command rejects, the recheck exits 1 with the command's error
+    _write_recheck_inputs(workdir)
+    command, flags, genuine, bad, message = _RECHECKED[kind]
+    seeded = ["--seed", "3", "--restarts", "2"]
+    code, report, _ = _run(capsys, _argv(workdir, command, genuine) + seeded)
+    assert report["command"] == kind and code in (0, 2)
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    recheck = ["oracle", "recheck", "--report", str(rp)]
+    code, rechecked, _ = _run(capsys, recheck + _argv(workdir, flags, genuine))
+    assert code == 0
+    assert rechecked["result"]["match"] is True
+    code, rechecked, err = _run(capsys, recheck + _argv(workdir, flags, bad))
+    assert code == 1
+    assert rechecked is None
+    assert err == "error: %s\n" % message
+    code, _, command_err = _run(capsys, _argv(workdir, command, bad) + seeded)
+    assert code == 1
+    assert command_err == err
+
+
+@pytest.mark.parametrize("reference", [float("nan"), float("inf")], ids=["nan", "infinity"])
+def test_recheck_rejects_a_non_finite_reference(workdir, capsys, reference):
+    # json reads NaN and Infinity; a forged reference is an input error
+    code, report, _ = _run(capsys, [
+        "cone", "blockpos", str(workdir / "swap3.json"), "--k", "2",
+        "--seed", "3", "--restarts", "2"])
+    assert code == 2
+    report["result"]["min_value"] = reference
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    code = main(["oracle", "recheck", "--report", str(rp),
+                 "--file", str(workdir / "swap3.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'min_value'" in captured.err
+
+
+def test_recheck_names_a_missing_report_field(workdir, capsys):
+    code, report, _ = _run(capsys, [
+        "cone", "blockpos", str(workdir / "swap3.json"), "--k", "2",
+        "--seed", "3", "--restarts", "2"])
+    assert code == 2
+    del report["result"]["witness_vector"]
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    code, recheck, err = _run(capsys, [
+        "oracle", "recheck", "--report", str(rp), "--file", str(workdir / "swap3.json")])
+    assert code == 1
+    assert recheck is None
+    assert err == "error: report is missing field 'witness_vector'\n"
+
+
+def test_verify_sn_and_kpeb_certify_with_an_ensemble(workdir, capsys):
+    # the basis product ensemble reconstructs I/9, the Choi state of the
+    # completely depolarizing channel
+    from schmidt_norms.maps import depolarizing_map
+    write_json(str(workdir / "ens.json"),
+               dump_ensemble(fixtures.basis_product_ensemble(3, 3)))
+    write_json(str(workdir / "mixed.json"),
+               dump_bipartite(BipartiteOperator((3, 3), np.eye(9) / 9)))
+    write_json(str(workdir / "omega.json"), dump_map(depolarizing_map(3)))
+    code, report, _ = _run(capsys, [
+        "cone", "verify-sn", "--state", str(workdir / "mixed.json"),
+        "--ensemble", str(workdir / "ens.json")])
+    assert code == 0
+    assert report["result"] == {"verified": True, "k": 1}
+    code, report, _ = _run(capsys, [
+        "map", "kpeb", str(workdir / "omega.json"), "--k", "1",
+        "--ensemble", str(workdir / "ens.json")])
+    assert code == 0
+    assert report["result"] == {"certified": True, "k": 1}
+    assert set(report["inputs"]) == {"file", "ensemble"}
+    code, report, _ = _run(capsys, [
+        "cone", "verify-sn", "--state", str(workdir / "iso9.json"),
+        "--ensemble", str(workdir / "ens.json")])
+    assert code == 0
+    assert report["result"] == {"verified": False, "k": 1}
+
+
+def test_fixture_emit_swap_to_stdout(capsys):
+    code = main(["fixtures", "emit", "swap", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out) == json.loads(
+        json.dumps(dump_bipartite(fixtures.swap_operator(3))))
+    assert captured.err == ""
+
+
+def test_fixture_emit_isotropic_needs_fidelity(capsys):
+    code = main(["fixtures", "emit", "isotropic", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: fixtures emit isotropic needs --fidelity\n"
+
+
+def test_recheck_names_the_input_flags_it_needs(workdir, capsys):
+    from schmidt_norms.cones import reduction_witness
+    write_json(str(workdir / "w32.json"), dump_bipartite(reduction_witness(3, 2)))
+    code, report, _ = _run(capsys, [
+        "cone", "witness", "--witness", str(workdir / "w32.json"),
+        "--state", str(workdir / "iso9.json"), "--k", "2", "--seed", "5",
+        "--restarts", "2"])
+    assert code == 2
+    rp = workdir / "report.json"
+    rp.write_text(json.dumps(report))
+    code, recheck, err = _run(capsys, [
+        "oracle", "recheck", "--report", str(rp), "--witness", str(workdir / "w32.json")])
+    assert code == 1
+    assert recheck is None
+    assert err == "error: recheck of 'cone witness' needs --witness and --state\n"

@@ -220,3 +220,19 @@ def test_witness_check_rejects_non_state():
     not_psd = BipartiteOperator(dims=(3, 3), mat=np.diag([2.0] + [-1.0 / 8] * 8))
     with pytest.raises(ValueError):
         witness_check(w, not_psd, 2, _cfg(18, restarts=1))
+
+
+def test_witness_check_takes_one_spectrum_of_the_state(monkeypatch):
+    # the state check's eigvalsh; the block-positivity search takes eigh only
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cert = witness_check(reduction_witness(3, 2), fixtures.isotropic(0.9, 3), 2,
+                         _cfg(14, restarts=2))
+    assert calls == [(9, 9)]
+    assert cert.pairing == pytest.approx(-0.35, abs=1e-9)

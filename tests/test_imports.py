@@ -125,6 +125,26 @@ def test_oracle_independent_of_optimizers():
     assert not imported & {"optim", "norms", "cones", "maps"}, imported
 
 
+def _modules_imported(tree: ast.Module) -> set:
+    """Top-level names of the modules a module imports absolutely, anywhere."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+    return found
+
+
+def test_cli_restates_no_value():
+    # every value a recheck compares comes from the library call its
+    # command makes; without numpy, cli.py cannot compute one of its own
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert {"cones", "maps"} <= _package_modules_imported(tree)
+    assert "json" in _modules_imported(tree)  # the scan sees cli's own imports
+    assert "numpy" not in _modules_imported(tree)
+
+
 # (module, function, parameter) triples that are never read, with the reason.
 UNREAD_ALLOWED = {
     ("cli", "_recheck_witness", "report"):

@@ -166,6 +166,21 @@ def test_k_peb_refute_takes_one_spectrum_of_the_choi_matrix(monkeypatch):
     assert cert.pairing == pytest.approx(-0.5, abs=1e-9)
 
 
+def test_k_peb_certify_takes_one_spectrum_of_the_choi_matrix(monkeypatch):
+    # the CP check's eigvalsh of J also checks J / Tr J as a state, which the
+    # ensemble then reconstructs
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert k_peb_certify(depolarizing_map(3), fixtures.basis_product_ensemble(3, 3))
+    assert calls == [(9, 9)]
+
+
 @pytest.mark.parametrize("skew, message", [(0.0, "positive semidefinite"),
                                             (1e-11, "Hermitian")])
 def test_k_peb_refute_rejects_a_tiny_trace_choi_matrix_that_is_no_state(skew, message):
