@@ -345,7 +345,7 @@ def hermitian_trace_norm(phi: MapRepr, k: int,
 
     u = np.array([random_unit_vector(d, rng) for rng in restart_rngs(cfg)])
     u[0] = np.eye(k, r).reshape(-1) / np.sqrt(min(k, r))
-    best, outcomes = sphere_ascent(value_at, direction, u, 0.5, 1e-14, cfg)
+    best, outcomes = sphere_ascent(value_at, direction, u, cfg)
     return MapNormEstimate(value=best.value, direction="lower",
                            attaining_input=PureState((k, r), best.payload[0]),
                            search=search_metadata(best, outcomes))

@@ -8,16 +8,15 @@ value per step.  The ``sk_norm`` and ``idk_op_norm`` see-saws and the sphere
 ascent of ``hermitian_trace_norm`` run their restarts as the rows of one
 stacked ascent (:func:`ascend_rows`, :func:`sphere_ascent`), one batched SVD
 or eigh per step for all active rows: on matrices of at most 6 x 6, numpy's
-per-call overhead costs more than the arithmetic.  The frame ascent runs its
-restarts one by one through :func:`ascend` and :func:`projected_step`, since
-the benchmark's tracer counts one ``frame_ascent`` call per restart and
-reads each call's history.  Each line search first tries the long
-Barzilai-Borwein step, capped at 1, and halves it on failure; the frame
-ascent compresses a trial frame once, for a screen that may reject it and
-its inner solve (see :func:`frame_ascent`).  A minimum, as in
-``k_block_positivity``, is searched as the supremum of the negated
-objective.  Frames retract by the Gram-Schmidt :func:`_retract`; only a
-restart's Haar start frame goes through LAPACK QR.
+per-call overhead costs more than the arithmetic.  The frame ascent is one
+loop, :func:`frame_ascent`, run once per restart, since the benchmark's
+tracer counts one ``frame_ascent`` call per restart and reads each call's
+history.  Each line search first tries the long Barzilai-Borwein step,
+capped at 1, and halves it on failure; the frame ascent compresses a trial
+frame once, for a screen that may reject it and its inner solve.  A
+minimum, as in ``k_block_positivity``, is searched as the supremum of the
+negated objective.  Frames retract by the Gram-Schmidt :func:`_retract`;
+only a restart's Haar start frame goes through LAPACK QR.
 
 Restart r draws its start from RNG stream ``cfg.rng.stream(r)``; the result
 is the restart of largest value, ties going to the smaller index, and
@@ -39,10 +38,14 @@ from .rand import RandomConfig, random_isometry
 
 __all__ = ["SeeSawConfig", "RestartOutcome", "SearchRecord", "DIRECTIONS",
            "check_direction", "restart_rngs", "run_restarts", "search_metadata",
-           "ascend", "ascend_rows", "projected_step", "sphere_ascent",
-           "frame_ascent", "frame_search", "compress_tensor", "lift_from_frame"]
+           "ascend_rows", "sphere_ascent", "frame_ascent", "frame_search",
+           "compress_tensor", "lift_from_frame"]
 
+# the line searches' halvings, and their first trials and tangent lengths
+# of no move (see frame_ascent)
 _MAX_HALVINGS = 5
+_FRAME_ETA, _FRAME_GRAD_TOL = 0.25, 1e-15
+_SPHERE_ETA, _SPHERE_GRAD_TOL = 0.5, 1e-14
 
 
 @dataclass(frozen=True)
@@ -122,36 +125,14 @@ def search_metadata(best: RestartOutcome, outcomes) -> SearchRecord:
         converged=best.converged, history=tuple(o.history for o in outcomes))
 
 
-def ascend(value: float, state, step, cfg: SeeSawConfig) -> RestartOutcome:
-    """The monotone ascent loop of one frame-ascent restart.
-
-    ``step(value, state)`` returns (new value, new state), or None when no
-    improving move exists.  The loop stops as converged on None or when the
-    gain ``new - value`` is below ``cfg.obj_tol``, and as not converged after
-    ``cfg.max_iters`` steps.  The history starts with ``value`` and logs each
-    step's new value; the payload is the last state.
-    """
-    history = [value]
-    for _ in range(cfg.max_iters):
-        moved = step(value, state)
-        if moved is None:
-            return RestartOutcome(value, state, history, True)
-        new, state = moved
-        history.append(new)
-        gain, value = new - value, new
-        if gain < cfg.obj_tol:
-            return RestartOutcome(value, state, history, True)
-    return RestartOutcome(value, state, history, False)
-
-
 def ascend_rows(value, state: tuple, step, cfg: SeeSawConfig):
-    """:func:`ascend` on stacked restarts, row r of ``value`` and of each
-    array in ``state`` being restart r.  ``step(value, state)`` gets the
-    active rows, as copies it may change, and returns (new values, new state,
-    moved), ``moved`` marking the rows with an improving move.  Each row stops
-    by :func:`ascend`'s rule and logs the history it would log alone.
-    Returns (best, outcomes) as :func:`run_restarts` does, each payload being
-    a row of the last state.
+    """The monotone ascent loop on stacked restarts, row r of ``value`` and
+    of each array in ``state`` being restart r.  ``step(value, state)`` gets
+    the active rows, as copies it may change, and returns (new values, new
+    state, moved), ``moved`` marking the rows with an improving move.  Each
+    row stops and logs its history by :func:`frame_ascent`'s rule.  Returns
+    (best, outcomes) as :func:`run_restarts` does, each payload being a row
+    of the last state.
     """
     value = np.array(value, dtype=float)
     state = tuple(np.array(s) for s in state)
@@ -178,68 +159,18 @@ def ascend_rows(value, state: tuple, step, cfg: SeeSawConfig):
     return max(outcomes, key=lambda out: out.value), outcomes
 
 
-def projected_step(trial, direction, retract, eta: float, grad_tol: float):
-    """The line search of the frame ascent, as an :func:`ascend` step over
-    states (x, data); :func:`sphere_ascent` runs the same search on stacked
-    rows.
-
-    The tangent ``direction(x, data)`` ends the search when shorter than
-    ``grad_tol``; normalized, it is tried with at most ``_MAX_HALVINGS + 1``
-    step lengths halving from a first trial t, each point mapped back by
-    ``retract``, until one raises the value.  The first trial is the long
-    Barzilai-Borwein step (Barzilai & Borwein, IMA J. Numer. Anal. 8, 1988;
-    on the Stiefel manifold, Wen & Yin, Math. Program. 142, 2013) from the
-    last two points: with s = x - x_prev and y = g - g_prev, g the tangent
-    before normalization, t = min(1, |g| <s,s> / |Re<s,y>|).  On the first
-    step of a search, or when Re<s,y> = 0, it is ``eta`` (0.25 for frames),
-    so every trial has t <= 1.  Build one step per search: it keeps the
-    previous point and tangent.
-
-    ``trial(x, data, value)``, given the incumbent's data and value, returns
-    (value, data) at the trial point x, or None to reject x unevaluated; a
-    value above the current one is accepted.
-    """
-    prev = None  # (x, g) at the start of the last step
-
-    def step(value, state):
-        nonlocal prev
-        x, data = state
-        g = direction(x, data)
-        gnorm = np.sqrt(np.vdot(g, g).real)
-        if gnorm < grad_tol:
-            return None
-        t = eta
-        if prev is not None:
-            s, y = x - prev[0], g - prev[1]
-            sy = abs(np.vdot(s, y).real)
-            if sy > 0.0:
-                t = min(1.0, gnorm * np.vdot(s, s).real / sy)
-        prev = x, g
-        g = g / gnorm
-        for _ in range(_MAX_HALVINGS + 1):
-            x_new = retract(x + t * g)
-            moved = trial(x_new, data, value)
-            if moved is not None and moved[0] > value:
-                return moved[0], (x_new, moved[1])
-            t /= 2.0
-        return None
-
-    return step
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a_r|b_r> for every row r."""
     return np.einsum("ij,ij->i", a.conj(), b)
 
 
-def sphere_ascent(evaluate, direction, x: np.ndarray, eta: float,
-                  grad_tol: float, cfg: SeeSawConfig):
-    """:func:`projected_step`'s search on the unit sphere by
+def sphere_ascent(evaluate, direction, x: np.ndarray, cfg: SeeSawConfig):
+    """:func:`frame_ascent`'s line search on the unit sphere by
     :func:`ascend_rows`, restart r starting at row r of x.  ``evaluate(x) ->
     (values, data)`` and ``direction(x, data)`` take stacked rows, ``data`` a
     tuple of row arrays.  Each row keeps its own first trial, halvings and
-    (s, y) pair, trying ``eta`` on its first step and where Re<s,y> = 0; a
-    trial is x + t g / |g| normalized.  Each payload starts with its point.
+    (s, y) pair, with ``_SPHERE_ETA`` and ``_SPHERE_GRAD_TOL``; a trial,
+    unscreened, is x + t g / |g| normalized.  Each payload starts with x.
     """
     def step(value, state):
         x, x_prev, g_prev, *data = state
@@ -247,10 +178,10 @@ def sphere_ascent(evaluate, direction, x: np.ndarray, eta: float,
         gnorm = np.sqrt(_row_dot(g, g).real)
         s, y = x - x_prev, g - g_prev
         sy = np.abs(_row_dot(s, y).real)
-        t = np.full(value.size, eta)
+        t = np.full(value.size, _SPHERE_ETA)
         bb = sy > 0.0
         t[bb] = np.minimum(1.0, gnorm[bb] * _row_dot(s, s).real[bb] / sy[bb])
-        long = ~(gnorm < grad_tol)  # NaN searches on, as in projected_step
+        long = ~(gnorm < _SPHERE_GRAD_TOL)  # NaN searches on, as in frame_ascent
         rows = np.flatnonzero(long)
         unit = g / np.where(long, gnorm, 1.0)[:, None]
         new, x_new, moved = value.copy(), x.copy(), np.zeros(value.size, dtype=bool)
@@ -342,7 +273,7 @@ def _retract(a: np.ndarray) -> np.ndarray:
     Gram-Schmidt loses orthogonality in proportion to cond(a)^2, which is
     small here: a = V + tG with V orthonormal, G a unit tangent (V^dagger G
     skew-Hermitian) and t <= 1, which the cap on the Barzilai-Borwein
-    length in :func:`projected_step` ensures, has a^dagger a = I + t^2
+    length in :func:`frame_ascent` ensures, has a^dagger a = I + t^2
     G^dagger G, so cond(a) <= sqrt(2).  At k = 1 this is a plain
     normalization.
     """
@@ -358,41 +289,69 @@ def _retract(a: np.ndarray) -> np.ndarray:
 
 def frame_ascent(t4: np.ndarray, k: int, rng: np.random.Generator,
                  objective, cfg: SeeSawConfig, screen=None):
-    """Maximize objective(compress_tensor(t4, V)) over orthonormal frames V.
+    """Maximize objective(compress_tensor(t4, V)) over orthonormal frames V,
+    one restart of :func:`frame_search`.
 
     ``objective(C) -> (value, term)`` must solve the inner problem exactly
     and return the differential term for :func:`_frame_gradient`.  The start
-    frame is a Haar draw (:func:`random_isometry`, LAPACK QR); every trial
-    step V + tG is mapped back by the Gram-Schmidt :func:`_retract`, exact
-    to rounding since cond(V + tG) <= sqrt(2).  Each trial frame is
-    compressed once, to C.  ``screen(C, term) -> (bound, warm)``, when
-    given, bounds the objective at C from below using the incumbent term; a
-    trial it puts at or below the current value is rejected unsolved, any
-    other solved by ``objective(C, warm)``: a screened objective takes
-    ``(C, warm)``, warm possibly None.  Returns a RestartOutcome whose payload is (V, value-attaining
-    term).
+    frame is a Haar draw (:func:`random_isometry`, LAPACK QR).  A step takes
+    the gradient's Stiefel tangent G, stops the search if |G| is below
+    ``_FRAME_GRAD_TOL``, and tries V + tG/|G|, mapped back by the
+    Gram-Schmidt :func:`_retract`, for at most ``_MAX_HALVINGS + 1`` halving
+    lengths t until the value rises.  The first t is the long
+    Barzilai-Borwein length (Barzilai & Borwein, IMA J. Numer. Anal. 8,
+    1988; on the Stiefel manifold, Wen & Yin, Math. Program. 142, 2013)
+    min(1, |G| <s,s> / |Re<s,y>|), with s and y the changes of V and G over
+    the last step; on a restart's first step, or when Re<s,y> = 0, it is
+    ``_FRAME_ETA``.  So t <= 1, and cond(V + tG) <= sqrt(2).
+
+    Each trial frame is compressed once, to C.  ``screen(C, term) ->
+    (bound, warm)``, when given, bounds the objective at C from below using
+    the incumbent term; a trial it puts at or below the current value is
+    rejected unsolved, any other solved by ``objective(C, warm)``: a
+    screened objective takes ``(C, warm)``, warm possibly None.  The search
+    stops as converged when no trial rises or the gain is below
+    ``cfg.obj_tol``, and as not converged after ``cfg.max_iters`` steps.
+    Returns a RestartOutcome with one value per step after the start's, and
+    the payload (V, value-attaining term).
     """
     layouts = _gradient_layouts(t4)
-
-    def trial(v, term, value):
-        c = compress_tensor(t4, v)
-        if screen is None:
-            return objective(c)
-        bound, warm = screen(c, term)
-        if bound > value:
-            return objective(c, warm)
-        return None
-
-    def direction(v, term):
-        g = _frame_gradient(layouts, v, term)
-        # project onto the tangent space of the Stiefel manifold
-        a = v.conj().T @ g
-        return g - v @ ((a + a.conj().T) / 2.0)
-
     v = random_isometry(t4.shape[1], k, rng)
-    val, term = objective(compress_tensor(t4, v))
-    step = projected_step(trial, direction, _retract, 0.25, 1e-15)
-    return ascend(val, (v, term), step, cfg)
+    value, term = objective(compress_tensor(t4, v))
+    history, prev = [value], None  # prev: (V, G) at the start of the last step
+    for _ in range(cfg.max_iters):
+        g = _frame_gradient(layouts, v, term)
+        a = v.conj().T @ g
+        g = g - v @ ((a + a.conj().T) / 2.0)  # the Stiefel tangent
+        gnorm = np.sqrt(np.vdot(g, g).real)
+        if gnorm < _FRAME_GRAD_TOL:  # NaN searches on
+            return RestartOutcome(value, (v, term), history, True)
+        t = _FRAME_ETA
+        if prev is not None:
+            s, y = v - prev[0], g - prev[1]
+            sy = abs(np.vdot(s, y).real)
+            if sy > 0.0:
+                t = min(1.0, gnorm * np.vdot(s, s).real / sy)
+        prev = v, g
+        g = g / gnorm
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = _retract(v + t * g)
+            c = compress_tensor(t4, trial)
+            if screen is None:
+                new, new_term = objective(c)
+            else:
+                bound, warm = screen(c, term)
+                new, new_term = objective(c, warm) if bound > value else (value, None)
+            if new > value:
+                break
+            t /= 2.0
+        else:
+            return RestartOutcome(value, (v, term), history, True)
+        history.append(new)
+        gain, value, v, term = new - value, new, trial, new_term
+        if gain < cfg.obj_tol:
+            return RestartOutcome(value, (v, term), history, True)
+    return RestartOutcome(value, (v, term), history, False)
 
 
 def frame_search(X: BipartiteOperator, k: int, objective, cfg: SeeSawConfig,

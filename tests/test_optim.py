@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,10 @@ from schmidt_norms.optim import (
     _frame_gradient,
     _gradient_layouts,
     _retract,
-    ascend,
     ascend_rows,
     compress_tensor,
     frame_ascent,
     lift_from_frame,
-    projected_step,
     run_restarts,
     sphere_ascent,
 )
@@ -239,11 +239,63 @@ def _run_rows(start, script, cfg):
                        _scripted_rows(script), cfg)
 
 
-def test_ascend_stops_converged_when_no_move():
+_X3 = random_hermitian(3, _rng(17))
+_ONE = np.ones(1, dtype=complex)
+
+
+def _rayleigh(c):
+    """Re<v|X|v> at m = k = 1, whose ascent direction at the unit vector v is
+    the tangent 2 (X v - v <v|X|v>)."""
+    return float(c[0, 0].real), (1.0 + 0.0j, _ONE, _ONE)
+
+
+def _scripted(values):
+    """An objective that plays ``values`` in order, one per solved frame,
+    each with a new term of _rayleigh's; returns it and its terms."""
+    values, terms = iter(values), []
+
+    def objective(c, warm=None):
+        terms.append((1.0 + 0.0j, _ONE, _ONE))
+        return next(values), terms[-1]
+
+    return objective, terms
+
+
+def _recorded_frame_ascent(monkeypatch, objective, cfg, screen=None, frozen=False):
+    """frame_ascent on X = _X3 at m = k = 1, where frames are unit vectors of
+    C^3; ``frozen`` retracts every trial to its step's start.  Returns the
+    outcome, the step starts and every trial as (step start, V + t G/|G|),
+    the latter read off the retraction."""
+    starts, trials = [], []
+    gradient, retract = optim._frame_gradient, optim._retract
+
+    def recorded_gradient(layouts, v, term):
+        starts.append(v)
+        return gradient(layouts, v, term)
+
+    def recorded_retract(a):
+        trials.append((starts[-1], a))
+        return starts[-1].copy() if frozen else retract(a)
+
+    monkeypatch.setattr(optim, "_frame_gradient", recorded_gradient)
+    monkeypatch.setattr(optim, "_retract", recorded_retract)
+    out = frame_ascent(_X3.reshape(1, 3, 1, 3), 1, _rng(14), objective, cfg, screen)
+    return out, starts, trials
+
+
+def _lengths(trials):
+    return np.array([np.linalg.norm(a - v) for v, a in trials])
+
+
+def test_ascend_stops_converged_when_no_move(monkeypatch):
     cfg = SeeSawConfig(max_iters=10)
-    out = ascend(2.0, "start", lambda value, state: None, cfg)
+    # every trial falls: one line search of 6 trials, no step
+    objective, terms = _scripted([2.0] + [1.0] * 6)
+    out, starts, trials = _recorded_frame_ascent(monkeypatch, objective, cfg)
     assert out.converged is True
-    assert out.history == [2.0] and out.value == 2.0 and out.payload == "start"
+    assert out.history == [2.0] and out.value == 2.0
+    assert out.payload[0] is starts[0] and out.payload[1] is terms[0]
+    assert len(trials) == 6
     # stacked: each row stops at its own first non-move, and a tie between
     # rows 0 and 2 goes to row 0
     best, outs = _run_rows([0.0, 3.0, 4.0], [[1.0, 5.0, None], [None], [5.0, None]], cfg)
@@ -251,42 +303,44 @@ def test_ascend_stops_converged_when_no_move():
     assert all(o.converged for o in outs)
     assert [int(o.payload[1]) for o in outs] == [2, 0, 1]
     assert best is outs[0] and best.value == 5.0
-    # a direction shorter than grad_tol is "no move" too
-    step = projected_step(lambda x, data, value: (float(x @ x), None),
-                          lambda x, data: np.zeros_like(x), lambda x: x,
-                          0.5, 1e-14)
-    assert step(1.0, (np.ones(2), None)) is None
+    # a tangent shorter than the frame ascent's grad_tol is "no move" too:
+    # a zero coefficient makes it exactly 0, and no trial frame is made
+    out, starts, trials = _recorded_frame_ascent(
+        monkeypatch, lambda c: (1.0, (0.0j, _ONE, _ONE)), cfg)
+    assert out.converged is True and out.history == [1.0] and trials == []
 
 
-def test_projected_step_screen_rejects_without_evaluating():
-    # a trial that returns None, as a frame ascent's trial does when its
-    # screen puts the trial frame at or below the value, is halved away
-    # with no evaluation; the first trial that returns a higher value is
-    # accepted
-    evaluated, screened = [], []
+def test_frame_ascent_screen_rejects_without_evaluating(monkeypatch):
+    # a trial that the screen puts at or below the value (0) is halved away
+    # with no evaluation; the first trial that passes the screen and has a
+    # higher value is accepted
+    screened = []
 
-    def trial(x, data, value):
-        screened.append(x[0])
-        if float(x[0] - x[0] ** 2) - 0.05 <= value:  # a lower bound on the value
-            return None
-        evaluated.append(x[0])
-        return float(x[0] - x[0] ** 2), None
+    def screen_by(bounds):
+        def screen(c, term):
+            screened.append(c)
+            return bounds[min(len(screened), len(bounds)) - 1], None
+        return screen
 
-    step = projected_step(trial, lambda x, data: np.ones(1), lambda x: x,
-                          2.0, 1e-14)
-    new, (x, _) = step(0.0, (np.zeros(1), None))
-    assert screened == [2.0, 1.0, 0.5] and evaluated == [0.5]
-    assert new == 0.25 and x[0] == 0.5
-    # a trial that always returns None: 6 halvings from eta, no step
+    cfg = SeeSawConfig(max_iters=1)
+    objective, terms = _scripted([0.0, 0.25])
+    out, starts, trials = _recorded_frame_ascent(
+        monkeypatch, objective, cfg, screen_by([-1.0, 0.0, 1.0]))
+    assert len(screened) == 3 and len(terms) == 2
+    assert np.allclose(_lengths(trials), [0.25, 0.125, 0.0625], atol=1e-15, rtol=0)
+    assert out.history == [0.0, 0.25] and out.payload[1] is terms[1]
+    # a screen that always rejects: 6 halvings from 0.25, no step
     screened.clear()
-    step = projected_step(lambda x, data, value: screened.append(x[0]),
-                          lambda x, data: np.ones(1), lambda x: x, 2.0, 1e-14)
-    assert step(0.0, (np.zeros(1), None)) is None
-    assert screened == [2.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
+    objective, terms = _scripted([0.0])
+    out, starts, trials = _recorded_frame_ascent(monkeypatch, objective, cfg,
+                                                 screen_by([0.0]))
+    assert len(screened) == 6 and len(terms) == 1 and out.history == [0.0]
+    assert np.allclose(_lengths(trials), 0.25 / 2.0 ** np.arange(6), atol=1e-15, rtol=0)
     # a trial that passes the screen but whose value does not rise: no step
-    step = projected_step(lambda x, data, value: (-1.0, None),
-                          lambda x, data: np.ones(1), lambda x: x, 1.0, 1e-14)
-    assert step(0.0, (np.zeros(1), None)) is None
+    objective, terms = _scripted([0.0] + [-1.0] * 6)
+    out, starts, trials = _recorded_frame_ascent(monkeypatch, objective, cfg,
+                                                 screen_by([np.inf]))
+    assert len(terms) == 7 and out.history == [0.0] and out.converged
 
 
 def test_frame_ascent_compresses_each_trial_frame_once(monkeypatch):
@@ -317,55 +371,44 @@ def test_frame_ascent_compresses_each_trial_frame_once(monkeypatch):
     assert len(out.history) == 1 and out.converged
 
 
-def _quadratic_search(a, b, eta):
-    """projected_step on f(x) = b.x - x.A x / 2 with the identity retraction,
-    and the (step start, trial point) pairs it evaluates."""
-    trials, start = [], [None]
-
-    def trial(x, data, value):
-        trials.append((start[0], x))
-        return float(b @ x - x @ a @ x / 2.0), None
-
-    def direction(x, data):
-        start[0] = x
-        return b - a @ x
-
-    return projected_step(trial, direction, lambda x: x, eta, 1e-14), trials
-
-
-def test_projected_step_first_trial_is_the_bb_length():
-    # on a concave quadratic the gradient is b - A x, so y = g - g_prev =
-    # -A s, and the second step first tries the long Barzilai-Borwein length
-    # |g| <s,s> / |<s,y>| along the unit gradient
-    a, b = np.diag([2.0, 5.0]), np.array([1.0, 1.0])
-    step, trials = _quadratic_search(a, b, 0.25)
-    x0 = np.zeros(2)
-    value, (x1, _) = step(0.0, (x0, None))
-    assert np.allclose(x1, 0.25 * b / np.linalg.norm(b), atol=1e-15, rtol=0)
-    step(value, (x1, None))
-    g0, g1 = b - a @ x0, b - a @ x1
-    s = x1 - x0
-    t = np.linalg.norm(g1) * (s @ s) / abs(s @ (g1 - g0))
-    assert 0.1 < t < 0.25  # neither the first step nor the cap
-    assert trials[1][0] is x1
-    assert np.allclose(trials[1][1], x1 + t * g1 / np.linalg.norm(g1),
+def test_frame_ascent_first_trial_is_the_bb_length(monkeypatch):
+    # with g = 2 (X v - v <v|X|v>) the tangent of Re<v|X|v>, a restart's
+    # first step first tries 0.25 along the unit tangent, and its second
+    # step the long Barzilai-Borwein length |g| <s,s> / |Re<s,y>|
+    out, starts, trials = _recorded_frame_ascent(monkeypatch, _rayleigh,
+                                                 SeeSawConfig(max_iters=2))
+    v0, v1 = starts
+    g0, g1 = (2.0 * (_X3 @ v - v * (v.conj().T @ _X3 @ v).real) for v in starts)
+    assert trials[0][0] is v0 and trials[1][0] is v1
+    assert np.allclose(trials[0][1], v0 + 0.25 * g0 / np.linalg.norm(g0),
                        atol=1e-15, rtol=0)
-    # a linear objective has y = 0: every step first tries the caller's eta
-    step, trials = _quadratic_search(np.zeros((2, 2)), b, 0.25)
-    ascend(0.0, (x0, None), step, SeeSawConfig(max_iters=4))
-    lengths = [np.linalg.norm(x - x_start) for x_start, x in trials]
-    assert np.allclose(lengths, [0.25] * 4, atol=1e-15, rtol=0)
+    s, y = v1 - v0, g1 - g0
+    t = np.linalg.norm(g1) * np.vdot(s, s).real / abs(np.vdot(s, y).real)
+    assert 0.1 < t < 0.25  # neither the first step nor the cap
+    assert np.allclose(trials[1][1], v1 + t * g1 / np.linalg.norm(g1),
+                       atol=1e-15, rtol=0)
+    # frames retracted back to the step's start have s = 0, so Re<s,y> = 0:
+    # every step first tries 0.25
+    objective, terms = _scripted([0.0, 1.0, 2.0, 3.0, 4.0])
+    out, starts, trials = _recorded_frame_ascent(
+        monkeypatch, objective, SeeSawConfig(max_iters=4), frozen=True)
+    assert out.history == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert np.allclose(_lengths(trials), [0.25] * 4, atol=1e-15, rtol=0)
 
 
-def test_projected_step_trial_lengths_are_capped_at_one():
-    # under low curvature the BB length, about |g| / lambda, runs far above
-    # 1; the cap keeps every trial at t <= 1, the premise of _retract
-    a, b = np.diag([0.02, 0.05]), np.array([1.0, 1.0])
-    step, trials = _quadratic_search(a, b, 0.25)
-    out = ascend(0.0, (np.zeros(2), None), step, SeeSawConfig(max_iters=30))
+def test_frame_ascent_trial_lengths_are_capped_at_one(monkeypatch):
+    # along the rotation field v -> A v, A anti-Hermitian, the tangent
+    # changes by y = A s with Re<s, A s> = 0 up to rounding, so the BB length
+    # runs far above 1; the cap keeps every trial at t <= 1, the premise of
+    # _retract
+    a = 1j * _X3
+    monkeypatch.setattr(optim, "_frame_gradient", lambda layouts, v, term: a @ v)
+    objective, terms = _scripted(np.arange(31.0).tolist())
+    out, starts, trials = _recorded_frame_ascent(monkeypatch, objective,
+                                                 SeeSawConfig(max_iters=30))
     assert np.all(np.diff(out.history) > 0) and len(out.history) == 31
-    lengths = np.array([np.linalg.norm(x - x_start) for x_start, x in trials])
-    assert lengths.max() <= 1.0 + 1e-12  # rounding in x - x_start
+    lengths = _lengths(trials)
+    assert lengths.max() <= 1.0 + 1e-12  # rounding in V + t G/|G| - V
     assert np.sum(np.abs(lengths - 1.0) < 1e-12) >= 20
 
 
@@ -389,22 +432,19 @@ def test_bb_steps_cut_trial_frames_per_step(monkeypatch):
     assert calls[0] / (verdict.search.restarts_used + verdict.search.iterations) < 1.5
 
 
-def test_ascend_stops_converged_on_small_gain():
+def test_ascend_stops_converged_on_small_gain(monkeypatch):
     # a minimum searched as the ascent of negated values, as in
     # k_block_positivity
     cfg = SeeSawConfig(max_iters=10, obj_tol=1e-9)
-    values = iter([-5.0, -(5.0 - 1e-12), -1.0])
-
-    def step(value, state):
-        return next(values), state + 1
-
-    out = ascend(-10.0, 0, step, cfg)
+    objective, terms = _scripted([-10.0, -5.0, -(5.0 - 1e-12), -1.0])
+    out, starts, trials = _recorded_frame_ascent(monkeypatch, objective, cfg)
     assert out.converged is True
     assert out.history == [-10.0, -5.0, -(5.0 - 1e-12)]
-    assert out.value == -(5.0 - 1e-12) and out.payload == 2
+    assert out.value == -(5.0 - 1e-12) and out.payload[1] is terms[2]
     # a gain equal to obj_tol is not below it: the budget runs out instead
-    out = ascend(-10.0, 0, lambda value, state: (value + 2.0, state),
-                 SeeSawConfig(max_iters=3, obj_tol=2.0))
+    objective, terms = _scripted([-10.0, -8.0, -6.0, -4.0, -2.0])
+    out, starts, trials = _recorded_frame_ascent(
+        monkeypatch, objective, SeeSawConfig(max_iters=3, obj_tol=2.0))
     assert out.history == [-10.0, -8.0, -6.0, -4.0] and out.converged is False
     # stacked: row 1 stops on a small gain at step 2, row 2 on a fall at
     # step 1 (a step's value is taken even when lower), row 0 at the budget
@@ -417,19 +457,53 @@ def test_ascend_stops_converged_on_small_gain():
     assert best is outs[2] and best.value == -3.5
 
 
-def test_ascend_zero_budget_is_unconverged():
-    out = ascend(3.0, None, lambda value, state: (value + 1, state),
-                 SeeSawConfig(max_iters=0))
-    assert out.history == [3.0]
+def test_ascend_zero_budget_is_unconverged(monkeypatch):
+    objective, terms = _scripted([3.0, 4.0])
+    out, starts, trials = _recorded_frame_ascent(monkeypatch, objective,
+                                                 SeeSawConfig(max_iters=0))
+    assert out.history == [3.0] and trials == []
     assert out.converged is False
     best, outs = _run_rows([3.0, 1.0, 3.0], [[], [], []], SeeSawConfig(max_iters=0))
     assert [o.history for o in outs] == [[3.0], [1.0], [3.0]]
     assert not any(o.converged for o in outs) and best is outs[0]
 
 
+def _sphere_row(evaluate_one, direction_one, x, cfg):
+    """The reference for one row of the sphere ascent: the documented line
+    search and stop rule, one restart at a time.  Returns (point, history,
+    converged)."""
+    value, data = evaluate_one(x)
+    history, prev = [value], None
+    for _ in range(cfg.max_iters):
+        g = direction_one(x, data)
+        gnorm = np.sqrt(np.vdot(g, g).real)
+        if gnorm < 1e-14:
+            return x, history, True
+        t = 0.5  # the first step's length, and where Re<s,y> = 0
+        if prev is not None:
+            s, y = x - prev[0], g - prev[1]
+            sy = abs(np.vdot(s, y).real)
+            if sy > 0.0:
+                t = min(1.0, gnorm * np.vdot(s, s).real / sy)
+        prev = x, g
+        for _ in range(6):  # the first trial and 5 halvings
+            trial = x + t * g / gnorm
+            trial = trial / np.linalg.norm(trial)
+            new, new_data = evaluate_one(trial)
+            if new > value:
+                break
+            t /= 2.0
+        else:
+            return x, history, True
+        history.append(new)
+        gain, value, x, data = new - value, new, trial, new_data
+        if gain < cfg.obj_tol:
+            return x, history, True
+    return x, history, False
+
+
 def test_sphere_ascent_rows_follow_the_serial_line_search():
-    # reference: each row alone through ascend and projected_step with the
-    # normalizing retraction, as the sphere ascent ran before it was stacked;
+    # reference: each row alone through the plain loop of _sphere_row;
     # f(u) = Re<u|A u> + |<b|u>|^2 on the unit sphere of C^5
     rng = _rng(12)
     a, b = random_hermitian(5, rng), complex_gaussian(rng, 5)
@@ -452,16 +526,14 @@ def test_sphere_ascent_rows_follow_the_serial_line_search():
 
     starts = np.array([random_unit_vector(5, rng) for _ in range(4)])
     cfg = SeeSawConfig(max_iters=60, obj_tol=1e-12)
-    best, outs = sphere_ascent(evaluate, direction, starts, 0.5, 1e-14, cfg)
+    best, outs = sphere_ascent(evaluate, direction, starts, cfg)
     for x, out in zip(starts, outs):
-        step = projected_step(lambda u, data, value: evaluate_one(u), direction_one,
-                              lambda u: u / np.linalg.norm(u), 0.5, 1e-14)
-        val, data = evaluate_one(x)
-        ref = ascend(val, (x, data), step, cfg)
-        assert len(out.history) == len(ref.history) > 3
-        assert np.allclose(out.history, ref.history, atol=1e-12, rtol=0)
-        assert out.converged == ref.converged
-        assert np.allclose(out.payload[0], ref.payload[0], atol=1e-10, rtol=0)
+        ref_x, ref_history, ref_converged = _sphere_row(evaluate_one, direction_one,
+                                                        x, cfg)
+        assert len(out.history) == len(ref_history) > 3
+        assert np.allclose(out.history, ref_history, atol=1e-12, rtol=0)
+        assert out.converged == ref_converged
+        assert np.allclose(out.payload[0], ref_x, atol=1e-10, rtol=0)
     assert best is max(outs, key=lambda o: o.value)
 
 
@@ -488,3 +560,36 @@ def test_block_positivity_verdict_reports_whether_its_search_converged():
         verdict = cones.k_block_positivity(op, 2, cfg)
         assert verdict.search.converged is converged
         assert verdict.search.restarts_used == 2
+
+
+def _history_digest(history):
+    return hashlib.sha256(np.concatenate(
+        [np.asarray(h, dtype=float) for h in history]).tobytes()).hexdigest()[:16]
+
+
+def test_frame_searches_keep_the_values():
+    # exact values, log lengths and a digest of every logged value, recorded
+    # before the frame ascent's stop rule and line search became one loop:
+    # k_block_positivity, the non-Hermitian min_order_norm through the 2 x 2
+    # closed-form screen (m k = 2) and through the eigh screen and warm start
+    # (m k = 6), and omin_norm
+    cfg = SeeSawConfig(restarts=3, max_iters=40, rng=RandomConfig(seed=50))
+    searches = [
+        (cones.k_block_positivity(
+            BipartiteOperator((3, 3), random_hermitian(9, _rng(51))), 2, cfg),
+         "min_value", -4.9524277773852745, [27, 24, 25], "d6a4805d90fd83b3"),
+        (norms.min_order_norm(
+            BipartiteOperator((2, 3), complex_gaussian(_rng(52), (6, 6))), 1, cfg),
+         "value", 3.7440251509600397, [12, 12, 26], "d6377aa722a74465"),
+        (norms.min_order_norm(
+            BipartiteOperator((3, 3), complex_gaussian(_rng(53), (9, 9))), 2, cfg),
+         "value", 6.032398210683538, [11, 10, 11], "74b05db10cbca03e"),
+        (norms.omin_norm(
+            BipartiteOperator((3, 3), complex_gaussian(_rng(54), (9, 9))), 1, cfg),
+         "value", 5.280704580325731, [12, 12, 12], "726e31b7cdff3908"),
+    ]
+    for result, attr, value, lengths, digest in searches:
+        assert getattr(result, attr) == value
+        assert [len(h) for h in result.search.history] == lengths
+        assert _history_digest(result.search.history) == digest
+        assert result.search.converged
