@@ -11,7 +11,10 @@ positivity with an explicit witness vector; otherwise the verdict is
 is claimed.  Each verdict holds the ``optim.SearchRecord`` of its search, so
 a ``heuristically-positive`` verdict shows whether that search converged.
 A command and its recheck share one checked core per certificate value:
-``_block_value``, ``_witness_pairing`` and ``_reconstructs``.
+``_block_value``, ``_witness_pairing`` and ``_reconstructs``.  Each
+public call tests an operator's Hermiticity once: ``witness_check`` and the
+map certificates run the search through the unchecked core
+``_block_positivity`` after their own checks.
 """
 
 from __future__ import annotations
@@ -151,12 +154,18 @@ def k_block_positivity(X: BipartiteOperator, k: int,
     w on X.  At k = min(m, n) the constraint is vacuous and the global
     eigenpair is returned directly.
     """
-    cfg = cfg or SeeSawConfig()
     if not is_hermitian(X.mat):
         raise ValueError(_NOT_HERMITIAN)
+    return _block_positivity(X, k, cfg)
+
+
+def _block_positivity(X: BipartiteOperator, k: int,
+                      cfg: SeeSawConfig | None) -> BlockPositivityVerdict:
+    """``k_block_positivity`` on an X that the caller has checked Hermitian."""
     _check_k(X, k)
-    frame, (wit,), search = frame_search(X, k, _neg_mineig_objective, cfg)
-    val = _block_value(X, wit)
+    frame, (wit,), search = frame_search(X, k, _neg_mineig_objective,
+                                         cfg or SeeSawConfig())
+    val = _expectation(X, wit)
     status = "refuted" if val < -REFUTE_TOL else "heuristically-positive"
     return BlockPositivityVerdict(status=status, min_value=val,
                                   witness_vector=wit, k=k, frame=frame,
@@ -173,6 +182,11 @@ def _block_value(X: BipartiteOperator, w: PureState) -> float:
     if w.dims != X.dims:
         raise ValueError("witness vector dims %r do not match operator dims %r"
                          % (w.dims, X.dims))
+    return _expectation(X, w)
+
+
+def _expectation(X: BipartiteOperator, w: PureState) -> float:
+    """<w|X|w>, unchecked."""
     return float(np.real(w.amplitudes.conj() @ X.mat @ w.amplitudes))
 
 
@@ -210,7 +224,7 @@ def witness_check(W: BipartiteOperator, rho: BipartiteOperator, k: int,
     SN(rho) >= k+1."""
     _check_state(rho)
     return WitnessCertificate(W=W, k=k, pairing=_witness_pairing(W, rho),
-                              block_pos_evidence=k_block_positivity(W, k, cfg))
+                              block_pos_evidence=_block_positivity(W, k, cfg))
 
 
 def _witness_pairing(W: BipartiteOperator, rho: BipartiteOperator) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import BlockPositivityVerdict, SchmidtEnsemble, WitnessCertificate, \
-    _check_state, _reconstructs, _reduction_witness, _witness_pairing, k_block_positivity
+    _block_positivity, _check_state, _reconstructs, _reduction_witness, _witness_pairing
 from .linalg import (
     EVAL_TOL,
     REFUTE_TOL,
@@ -194,7 +194,7 @@ def k_positivity(phi: MapRepr, k: int,
                  cfg: SeeSawConfig | None = None) -> BlockPositivityVerdict:
     """k-positive iff the Choi matrix is k-block positive; delegates to the
     cones module.  A refutation witness encodes the violating input state."""
-    return k_block_positivity(_hermitian_choi(phi), k, cfg)
+    return _block_positivity(_hermitian_choi(phi), k, cfg)
 
 
 def _hermitian_choi(phi: MapRepr) -> BipartiteOperator:
@@ -233,7 +233,7 @@ def k_peb_refute(phi: MapRepr, k: int,
     _check_k(rho, k)
     W = _reduction_witness(rho.dims, k)
     return WitnessCertificate(W=W, k=k, pairing=_witness_pairing(W, rho),
-                              block_pos_evidence=k_block_positivity(W, k, cfg))
+                              block_pos_evidence=_block_positivity(W, k, cfg))
 
 
 # ---------------------------------------------------------------------------

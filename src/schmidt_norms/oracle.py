@@ -28,19 +28,41 @@ batched ``eigvalsh``.  Its random-tangent polish falls short of the frame
 optimum on generic operators (7.0403 against ``omin_norm``'s 7.1487 at
 (3,4), k = 2), so agreement with ``omin_norm`` there is one-sided.
 
-The three Schmidt-vector oracles hold only their factor draws, samples
-first as drawn: A is (samples, m, k) and B is (samples, n, k).  The unit
-vectors u = A B^T / |A B^T| and their pairings are built ``_SAMPLE_BLOCK``
-samples at a time, so the sampling stage needs O(samples (m+n) k) memory
-plus one block, never an (m*n, samples) array.  Each block and the polish
-pool keep the sample axis last, so every broadcast product, step and mask
-is one long contiguous loop over the samples instead of samples*m loops of
-length at most 4.  On the 512-sample pool the (A, B) products run
-1.9-2.8x faster than in a samples-first layout (numpy 2.4, one Xeon core).
+The three Schmidt-vector oracles never hold all their factor draws.  A
+(samples, m, k) and B (samples, n, k) of each unit-vector side are drawn
+from one generator, array after array, and ``_factor_blocks`` replays that
+stream ``_SAMPLE_BLOCK`` samples at a time: pass 1 copies the generator at
+the start of each array and draws through the array, pass 2 draws the next
+block of every array from its copy, so each block holds bit for bit the
+rows of a whole-array draw.  Each block's unit vectors u = A B^T / |A B^T|
+are built and paired at once, and a running pool (``_top_samples``) keeps
+the draws of every sample that can still rank among the ``_POOL`` best, so
+the polish starts from exactly the samples that ``np.argsort`` of all the
+values selects.  The sampling stage thus needs 8 bytes per sample for the
+values plus O(block + pool) memory, and pays one more draw of every array
+but the last: a 20000-sample ``brute_sk_norm`` at (3,4), k = 2 peaks at
+2.55 MiB under tracemalloc, against 11.05 MiB with whole-array draws.  If
+ties fill the pool, it grows once to hold every sample's draws, as a
+whole-array draw did, and stays linear in time.  Pass 1 discards its
+normals in chunks of up to ``_DRAW_CHUNK``, 2 MiB: under glibc malloc
+freeing a chunk that size lifts the adaptive trim threshold above the
+polish's per-step temporaries (1.2 MB at (4,4), k = 2), which are otherwise
+handed back to the kernel and faulted in again every step.  On the nine
+Schmidt-oracle calls of the seed-1 ``seesaw_oracle`` pool, drawing pass 1
+through one block at a time took 115 849 page faults per pass, 2 MiB
+chunks none (the whole-array draws 6205).
+
+Each block and the polish pool keep the sample axis last, so every
+broadcast product, step and mask is one long contiguous loop over the
+samples instead of samples*m loops of length at most 4.  On the 512-sample
+pool the (A, B) products run 1.9-2.8x faster than in a samples-first
+layout (numpy 2.4, one Xeon core).
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +79,13 @@ __all__ = [
     "brute_idk_norm",
 ]
 
-# Samples per block of the sampling-stage pairings: their temporaries stay at
-# 0.5 MB for m*n = 16, whatever the sample count.
-_SAMPLE_BLOCK = 2048
+# Samples per block of the sampling stage: the factor draws and pairing
+# temporaries of a block stay at 0.25 MB each for m*n = 16, whatever the
+# sample count.
+_SAMPLE_BLOCK = 1024
+# Normals per draw of pass 1 of the sampling stage, which discards them (see
+# the module docstring).
+_DRAW_CHUNK = 2 ** 18
 # Top samples that get the gradient polish in the three Schmidt-vector oracles.
 _POOL = 512
 
@@ -86,13 +112,6 @@ def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
 
 
-def _gather(top, **draws) -> dict:
-    """The samples ``top`` (an index array or a slice) of samples-first
-    factor draws (samples, rows, k), copied with the sample axis last."""
-    return {name: np.ascontiguousarray(d[top].transpose(1, 2, 0))
-            for name, d in draws.items()}
-
-
 def _unit_vectors(cols: slice, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """u = A B^T / |A B^T| of the draws' samples ``cols``, as (m*n, samples)."""
     u = _outer(*(np.ascontiguousarray(d[cols].transpose(1, 2, 0)) for d in (a, b)))
@@ -110,6 +129,87 @@ def _pairings(xm: np.ndarray, av: np.ndarray, bv: np.ndarray,
         wb = vb if aw is None else _unit_vectors(cols, aw, bw)
         out[cols] = (vb.conj() * (xm @ wb)).sum(0)
     return out
+
+
+def _factor_blocks(rng: np.random.Generator, samples: int, shapes):
+    """The factor draws ``_cgauss(rng, (samples,) + shape)`` of each shape in
+    turn, replayed in lockstep ``_SAMPLE_BLOCK`` samples at a time: yields
+    one list of blocks, samples first, per step.  Pass 1 copies ``rng`` at
+    the start of each array and draws through its normals ``_DRAW_CHUNK`` at
+    a time; pass 2 draws every array's next block from its copy, so the
+    blocks are the whole arrays' rows bit for bit."""
+    gens = []
+    for shape in shapes[:-1]:
+        gens.append(copy.deepcopy(rng))
+        left = 2 * samples * math.prod(shape)  # the normals of this array
+        while left:
+            left -= len(rng.standard_normal(min(left, _DRAW_CHUNK)))
+    gens.append(rng)
+    for lo in range(0, samples, _SAMPLE_BLOCK):
+        count = min(_SAMPLE_BLOCK, samples - lo)
+        yield [_cgauss(g, (count,) + shape) for g, shape in zip(gens, shapes)]
+
+
+def _top_samples(blocks, samples: int, largest: bool):
+    """Every value of ``blocks``, (values, draws) pairs in sample order with
+    the draws samples first, and the draws of the samples
+    ``np.argsort(values)[-_POOL:]`` (``largest``) or ``[:_POOL]``, in that
+    order, copied with the sample axis last.
+
+    A running pool holds every sample whose value is at least the running
+    ``_POOL``-th best (ties kept, and NaN, which argsort ranks last, so the
+    selection is exact) in buffers of ``2 * _POOL`` rows, compacted when
+    full.  If ties at that value fill them, the buffers grow once to every
+    sample, so each block is still copied once."""
+    vals = np.empty(samples)
+    held = np.empty(min(samples, 2 * _POOL), dtype=np.intp)
+    bufs, count, best, lo = None, 0, vals[:0], 0
+    cut = -np.inf if largest else np.inf
+
+    def may_rank(v):
+        return ~(v < cut) if largest else ~(v > cut)
+
+    for values, draws in blocks:
+        hi = lo + len(values)
+        vals[lo:hi] = values
+        if bufs is None:
+            bufs = [np.empty((len(held),) + d.shape[1:], d.dtype) for d in draws]
+        rows = np.flatnonzero(may_rank(values))
+        if len(rows):
+            best = np.concatenate((best, values[rows]))
+            if len(best) > _POOL:
+                kth = len(best) - _POOL if largest else _POOL - 1
+                best = np.partition(best, kth)
+                cut = best[kth]
+                best = best[kth:] if largest else best[:_POOL]
+                rows = rows[may_rank(values[rows])]
+        if count + len(rows) > len(held):
+            live = np.flatnonzero(may_rank(vals[held[:count]]))
+            count = len(live)
+            for buf in [held] + bufs:
+                buf[:count] = buf[live]
+        if count + len(rows) > len(held):
+            held, *bufs = [np.concatenate((buf[:count], np.empty(
+                (samples - count,) + buf.shape[1:], buf.dtype))) for buf in [held] + bufs]
+        end = count + len(rows)
+        held[count:end] = lo + rows
+        for buf, d in zip(bufs, draws):
+            buf[count:end] = d[rows]
+        count, lo = end, hi
+    order = np.argsort(vals)
+    rows = np.searchsorted(held[:count], order[-_POOL:] if largest else order[:_POOL])
+    return vals, [np.ascontiguousarray(buf[rows].transpose(1, 2, 0)) for buf in bufs]
+
+
+def _sampled(xm: np.ndarray, rows, k: int, cfg: OracleConfig, value, largest: bool):
+    """The sampling stage of a Schmidt-vector oracle: the factor draws
+    (samples, r, k) for r in ``rows``, paired as (A_v, B_v[, A_w, B_w]) by
+    ``_pairings``; returns ``value`` of every pairing and the pool's draws
+    (see ``_top_samples``)."""
+    blocks = ((value(_pairings(xm, *d)), d)
+              for d in _factor_blocks(cfg.rng.generator(), cfg.samples,
+                                      [(r, k) for r in rows]))
+    return _top_samples(blocks, cfg.samples, largest)
 
 
 def _sample_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -172,9 +272,7 @@ def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None)
     m, n = X.dims
     xm = X.mat
     xh = xm.conj().T
-    rng = cfg.rng.generator()
-    av, bv, aw, bw = (_cgauss(rng, (cfg.samples, d, k)) for d in (m, n, m, n))
-    vals = np.abs(_pairings(xm, av, bv, aw, bw))
+    vals, draws = _sampled(xm, (m, n, m, n), k, cfg, np.abs, largest=True)
 
     def evaluate(p):
         uv, uw = _outer(p["av"], p["bv"]), _outer(p["aw"], p["bw"])
@@ -190,7 +288,7 @@ def brute_sk_norm(X: BipartiteOperator, k: int, cfg: OracleConfig | None = None)
         gaw, gbw = _ab_grad(gw.reshape(m, n, -1), p["aw"], p["bw"])
         return f, dict(av=gav, bv=gbv, aw=gaw, bw=gbw)
 
-    pool = _gather(np.argsort(vals)[-_POOL:], av=av, bv=bv, aw=aw, bw=bw)
+    pool = dict(zip(("av", "bv", "aw", "bw"), draws))
     polished = _polish(evaluate, pool, cfg.polish_steps, np.greater)
     return float(max(vals.max(), polished.max()))
 
@@ -203,9 +301,7 @@ def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
         raise ValueError("brute_block_min needs a Hermitian operator")
     m, n = X.dims
     xm = X.mat
-    rng = cfg.rng.generator()
-    a, b = (_cgauss(rng, (cfg.samples, d, k)) for d in (m, n))
-    vals = _pairings(xm, a, b).real
+    vals, (a, b) = _sampled(xm, (m, n), k, cfg, np.real, largest=False)
 
     def evaluate(p):
         u, xu, nsq, g = _quad_form(xm, p["a"], p["b"])
@@ -214,8 +310,7 @@ def brute_block_min(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
         ga, gb = _ab_grad((-(xu - f * u) / nsq).reshape(m, n, -1), p["a"], p["b"])
         return f, dict(a=ga, b=gb)
 
-    pool = _gather(np.argsort(vals)[:_POOL], a=a, b=b)
-    polished = _polish(evaluate, pool, cfg.polish_steps, np.less)
+    polished = _polish(evaluate, dict(a=a, b=b), cfg.polish_steps, np.less)
     return float(min(vals.min(), polished.min()))
 
 
@@ -227,9 +322,7 @@ def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
     m, n = X.dims
     xm = X.mat
     xh = xm.conj().T
-    rng = cfg.rng.generator()
-    a, b = (_cgauss(rng, (cfg.samples, d, k)) for d in (m, n))
-    vals = np.abs(_pairings(xm, a, b))
+    vals, (a, b) = _sampled(xm, (m, n), k, cfg, np.abs, largest=True)
 
     def evaluate(p):
         u, xu, nsq, g = _quad_form(xm, p["a"], p["b"])
@@ -240,8 +333,7 @@ def brute_min_order(X: BipartiteOperator, k: int, cfg: OracleConfig | None = Non
         ga, gb = _ab_grad(((gu - f * u) / nsq).reshape(m, n, -1), p["a"], p["b"])
         return f, dict(a=ga, b=gb)
 
-    pool = _gather(np.argsort(vals)[-_POOL:], a=a, b=b)
-    polished = _polish(evaluate, pool, cfg.polish_steps, np.greater)
+    polished = _polish(evaluate, dict(a=a, b=b), cfg.polish_steps, np.greater)
     return float(max(vals.max(), polished.max()))
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 
@@ -21,3 +22,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(lines):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def hermiticity_checks(monkeypatch):
+    """Counts, per matrix, the ``is_hermitian`` calls of the package's checks:
+    ``hermiticity_checks(mat)`` is how often a matrix equal to ``mat`` was
+    tested, ``hermiticity_checks.clear()`` forgets the calls so far."""
+    from schmidt_norms import cones, linalg, maps
+    seen, check = [], linalg.is_hermitian
+
+    def counted(x):
+        seen.append(np.asarray(x))
+        return check(x)
+    for module in (cones, linalg, maps):
+        monkeypatch.setattr(module, "is_hermitian", counted)
+
+    def times(mat) -> int:
+        return sum(np.array_equal(x, mat) for x in seen)
+    times.clear = seen.clear
+    return times

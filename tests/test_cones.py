@@ -222,6 +222,15 @@ def test_witness_check_rejects_non_state():
         witness_check(w, not_psd, 2, _cfg(18, restarts=1))
 
 
+def test_each_call_checks_the_operators_hermiticity_once(hermiticity_checks):
+    w, rho = reduction_witness(3, 2), fixtures.isotropic(0.9, 3)
+    k_block_positivity(w, 2, _cfg(15, restarts=2))
+    assert hermiticity_checks(w.mat) == 1
+    hermiticity_checks.clear()
+    witness_check(w, rho, 2, _cfg(15, restarts=2))
+    assert hermiticity_checks(w.mat) == 1
+
+
 def test_witness_check_takes_one_spectrum_of_the_state(monkeypatch):
     # the state check's eigvalsh; the block-positivity search takes eigh only
     calls = []

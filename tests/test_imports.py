@@ -192,3 +192,28 @@ def test_every_all_entry_is_bound():
         stale += ["%s: %s" % (name, entry) for entry in module.get("__all__", ())
                   if entry not in module]
     assert not stale, "__all__ names nothing bound: %s" % ", ".join(stale)
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            yield node.name
+
+
+def _reads(tree: ast.Module) -> set:
+    """Names a module reads, bare or as an attribute (``module._name``)."""
+    return _read_names(tree) | {node.attr for node in ast.walk(tree)
+                                if isinstance(node, ast.Attribute)
+                                and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_private_function_and_class_is_read():
+    # a private helper that nothing in the package reads is dead code, even
+    # where a test still calls it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    unread = ["%s.%s" % (stem, name) for stem, tree in trees.items()
+              for name in _private_definitions(tree) if name not in read]
+    assert not unread, "private definitions nothing reads: %s" % ", ".join(unread)

@@ -166,6 +166,15 @@ def test_k_peb_refute_takes_one_spectrum_of_the_choi_matrix(monkeypatch):
     assert cert.pairing == pytest.approx(-0.5, abs=1e-9)
 
 
+def test_map_certificates_check_each_operators_hermiticity_once(hermiticity_checks):
+    phi = transpose_map(3)
+    k_positivity(phi, 2, _cfg(16))
+    assert hermiticity_checks(phi.choi.mat) == 1
+    hermiticity_checks.clear()
+    k_peb_refute(depolarizing_map(3), 2, _cfg(16))
+    assert hermiticity_checks(reduction_witness(3, 2).mat) == 1
+
+
 def test_k_peb_certify_takes_one_spectrum_of_the_choi_matrix(monkeypatch):
     # the CP check's eigvalsh of J also checks J / Tr J as a state, which the
     # ensemble then reconstructs

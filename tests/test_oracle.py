@@ -9,6 +9,7 @@ from schmidt_norms.linalg import BipartiteOperator, operator_norm
 from schmidt_norms.maps import MapRepr, apply, identity_map, transpose_map
 from schmidt_norms.norms import SeeSawConfig, sk_norm
 from schmidt_norms.oracle import (
+    _POOL,
     _SAMPLE_BLOCK,
     OracleConfig,
     _cgauss,
@@ -19,6 +20,7 @@ from schmidt_norms.oracle import (
     _phase_fixed_qr,
     _polish,
     _sample_matmul,
+    _top_samples,
     _top_singular_values,
     brute_block_min,
     brute_idk_norm,
@@ -340,8 +342,7 @@ def test_polished_values_on_a_freezing_pool():
 # on a pool that does not freeze within its 30 steps.
 def test_blocked_sampling_keeps_the_values():
     x, h = _parity_operator(seed=34)
-    cfg = OracleConfig(samples=2 * _SAMPLE_BLOCK + 3, polish_steps=30,
-                       rng=RandomConfig(seed=35))
+    cfg = OracleConfig(samples=4099, polish_steps=30, rng=RandomConfig(seed=35))
     assert brute_sk_norm(x, 2, cfg) == 7.761272476799699
     assert brute_min_order(x, 2, cfg) == 6.427977426944642
     assert brute_block_min(h, 2, cfg) == -5.652672926792356
@@ -362,3 +363,54 @@ def test_sampling_stage_holds_only_the_draws(brute, pairs, slack_mib):
     finally:
         tracemalloc.stop()
     assert peak - draw_bytes <= slack_mib * 2 ** 20
+
+
+def _sampling_peak(brute, samples):
+    """tracemalloc peak of one unpolished call at (6, 6), k = 3."""
+    x, h = _parity_operator((6, 6), seed=36)
+    cfg = OracleConfig(samples=samples, polish_steps=0, rng=RandomConfig(seed=37))
+    tracemalloc.start()
+    try:
+        brute(h if brute is brute_block_min else x, 3, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("brute", [brute_sk_norm, brute_min_order, brute_block_min])
+def test_sampling_stage_memory_is_flat_in_samples(brute):
+    # the factor draws are replayed a block at a time, so 50 000 more samples
+    # add only their values and argsort indices, 16 bytes each; the draws of
+    # 100 000 samples at (6, 6), k = 3 alone are 55 MiB per pair
+    small, large = _sampling_peak(brute, 50_000), _sampling_peak(brute, 100_000)
+    assert large - small <= 50_000 * 16 + 2 ** 20
+    assert large <= 16 * 2 ** 20
+
+
+def _pool_blocks(keys, draws, sizes):
+    lo = 0
+    for size in sizes:
+        yield keys[lo:lo + size], [d[lo:lo + size] for d in draws]
+        lo += size
+
+
+@pytest.mark.parametrize("kind", ["ties", "equal", "rising", "nan"])
+@pytest.mark.parametrize("largest", [True, False])
+def test_running_pool_is_the_argsort_selection(kind, largest):
+    # the pool keeps every sample that can still rank, so its selection is
+    # np.argsort's exactly: same samples, same order, same draws
+    rng = RandomConfig(seed=38).generator()
+    n = 5 * _POOL + 7
+    keys = {"ties": np.round(rng.standard_normal(n)),  # about five values
+            "equal": np.zeros(n),
+            "rising": np.arange(n, dtype=float) * (1 if largest else -1),
+            "nan": np.where(rng.random(n) < 0.2, np.nan, rng.standard_normal(n))}[kind]
+    draws = [complex_gaussian(rng, (n, 2, 1)), complex_gaussian(rng, (n, 3, 1))]
+    sizes = [300, 1, 700] + [_POOL] * 4 + [n - 1001 - 4 * _POOL]
+    vals, got = _top_samples(_pool_blocks(keys, draws, sizes), n, largest)
+    assert vals.tobytes() == keys.tobytes()
+    top = np.argsort(keys)
+    top = top[-_POOL:] if largest else top[:_POOL]
+    for d, g in zip(draws, got):
+        assert g.flags.c_contiguous
+        assert g.tobytes() == np.ascontiguousarray(d[top].transpose(1, 2, 0)).tobytes()
