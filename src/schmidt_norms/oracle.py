@@ -112,23 +112,19 @@ def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
 
 
-def _unit_vectors(cols: slice, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """u = A B^T / |A B^T| of the draws' samples ``cols``, as (m*n, samples)."""
-    u = _outer(*(np.ascontiguousarray(d[cols].transpose(1, 2, 0)) for d in (a, b)))
+def _unit_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u = A B^T / |A B^T| of samples-first draws, as (m*n, samples)."""
+    u = _outer(*(np.ascontiguousarray(d.transpose(1, 2, 0)) for d in (a, b)))
     return u / np.linalg.norm(u, axis=0)
 
 
 def _pairings(xm: np.ndarray, av: np.ndarray, bv: np.ndarray,
               aw: np.ndarray | None = None, bw: np.ndarray | None = None) -> np.ndarray:
-    """<v_s|X|w_s> for the unit vectors of the draws (A_v, B_v) and (A_w,
-    B_w) (default v), built and paired by one gemm a block at a time."""
-    out = np.empty(len(av), dtype=complex)
-    for lo in range(0, len(out), _SAMPLE_BLOCK):
-        cols = slice(lo, lo + _SAMPLE_BLOCK)
-        vb = _unit_vectors(cols, av, bv)
-        wb = vb if aw is None else _unit_vectors(cols, aw, bw)
-        out[cols] = (vb.conj() * (xm @ wb)).sum(0)
-    return out
+    """<v_s|X|w_s> for the unit vectors of the samples-first draws (A_v, B_v)
+    and (A_w, B_w) (default v), paired by one gemm."""
+    v = _unit_vectors(av, bv)
+    w = v if aw is None else _unit_vectors(aw, bw)
+    return (v.conj() * (xm @ w)).sum(0)
 
 
 def _factor_blocks(rng: np.random.Generator, samples: int, shapes):

@@ -188,8 +188,8 @@ def test_frame_compressions_match_dense(m, n, k):
 
 
 def test_blocked_pairings_match_einsum():
-    # factor draws on both sides of two block boundaries, paired against the
-    # unit vectors built for all samples at once
+    # the pairings of more samples than a sampling-stage block, against the
+    # unit vectors built by einsum
     rng = RandomConfig(seed=26).generator()
     count = 2 * _SAMPLE_BLOCK + 3
     v, w = ((complex_gaussian(rng, (count, 2, 2)),
