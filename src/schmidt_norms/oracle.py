@@ -79,9 +79,8 @@ __all__ = [
     "brute_idk_norm",
 ]
 
-# Samples per block of the sampling stage: the factor draws and pairing
-# temporaries of a block stay at 0.25 MB each for m*n = 16, whatever the
-# sample count.
+# Samples per block of the sampling stage: its pairing temporaries stay at
+# 0.25 MB for m*n = 16, whatever the sample count.
 _SAMPLE_BLOCK = 1024
 # Normals per draw of pass 1 of the sampling stage, which discards them (see
 # the module docstring).

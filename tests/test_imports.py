@@ -9,7 +9,9 @@ An import inside a function body counts as used only when that function
 The same holds for function parameters: every parameter that a package
 function takes is read by its body, so no caller passes an option that does
 nothing.  And every name a module lists in ``__all__`` is bound in it, so
-``from schmidt_norms.<module> import *`` never meets a stale entry.
+``from schmidt_norms.<module> import *`` never meets a stale entry, and
+every module-level private function or class is read somewhere in the
+package, so none outlives its last caller.
 """
 
 import ast
